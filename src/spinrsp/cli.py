@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -247,29 +246,6 @@ def write_output(text: str, path: str) -> dict[str, str]:
     return {path: hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPINRSP_WORKERS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw, 10)
-    except ValueError:
-        raise UsageError(f"SPINRSP_WORKERS: expected an integer, got {raw!r}")
-    if count < 1:
-        raise UsageError(f"SPINRSP_WORKERS: expected >= 1, got {count}")
-    return count
-
-
-def _pool_map(fn: Callable, items: Sequence) -> list:
-    """Apply fn to items, preserving order (results are gathered in input
-    order regardless of completion order, keeping output deterministic)."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _theta_grid(nodes: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, nodes)
 
@@ -318,21 +294,36 @@ def _resource_state(n: int, tau: float, kind: str):
     return squeezing_run(n, tau).state
 
 
-def _branch_rows(n: int, tau: float, theta: float, phi: float, resource, k_sel):
-    """Rows (theta, phi, k, p, sx, sy, sz, e) for one target direction."""
-    spec = RotationSpec(theta, phi)
-    rows = []
-    for outcome in run_protocol(resource, spec):
+def _branch_rows(resource, theta: float, phis: Sequence[float], k_sel):
+    """Rows (theta, phi, k, p, sx, sy, sz, e) for one polar angle, every phi.
+
+    Alice measures behind U(theta, pi - phi), so phi reaches Bob only as the
+    z-rotation exp(-i S^z phi/2) of his conditional state: p, e and <S^z>
+    are those at phi = 0, and (<S^x>, <S^y>) turn by phi.  The protocol
+    thus runs once per polar angle.
+    """
+    n = resource.n_atoms
+    base = RotationSpec(theta, 0.0)
+    branches = []
+    for outcome in run_protocol(resource, base):
         if k_sel is not None and outcome.k != k_sel:
             continue
+        err = None
         if outcome.defined:
-            err = error_k(outcome, ideal_outcome(n, outcome.k, spec), n)
-            sx, sy, sz = outcome.bob_spins
-        else:
-            err = sx = sy = sz = None
-        rows.append(
-            (theta, phi, outcome.k, outcome.probability, sx, sy, sz, err)
-        )
+            err = error_k(outcome, ideal_outcome(n, outcome.k, base), n)
+        branches.append((outcome.k, outcome.probability, outcome.bob_spins, err))
+    rows = []
+    for phi in phis:
+        turn = RotationSpec(theta, phi).phi - base.phi
+        cos, sin = math.cos(turn), math.sin(turn)
+        for k, p, spins, err in branches:
+            if spins is None:
+                rows.append((theta, phi, k, p, None, None, None, None))
+                continue
+            sx, sy, sz = spins
+            rows.append(
+                (theta, phi, k, p, cos * sx - sin * sy, sin * sx + cos * sy, sz, err)
+            )
     return rows
 
 
@@ -379,7 +370,7 @@ def _run_protocol_cmd(res: _Resolver, fmt: str) -> tuple[str, dict]:
     phi = res.get("phi", _parse_angle, 0.0)
     res.finish()
     resource = _resource_state(n, tau, "2a2s")
-    rows = _branch_rows(n, tau, float(theta), float(phi), resource, None)
+    rows = _branch_rows(resource, float(theta), [float(phi)], None)
     header = ("theta", "phi", "k", "p", "sx", "sy", "sz", "e")
     return _render(header, rows, fmt), {"n": n, "tau": tau, "theta": theta, "phi": phi}
 
@@ -392,12 +383,11 @@ def _run_prob_dist(res: _Resolver, fmt: str) -> tuple[str, dict]:
     res.finish()
     resource = _resource_state(n, tau, "2a2s")
     thetas = [float(theta_pin)] if theta_pin is not None else list(_theta_grid(nodes))
-
-    def one(theta: float):
-        probs = outcome_probabilities(resource, theta)
-        return [(theta, k, float(probs[k])) for k in range(n + 1)]
-
-    rows = [row for chunk in _pool_map(one, thetas) for row in chunk]
+    rows = [
+        (theta, k, float(p))
+        for theta in thetas
+        for k, p in enumerate(outcome_probabilities(resource, theta))
+    ]
     header = ("theta", "k", "p")
     params = {"n": n, "tau": tau, "theta": theta_pin, "theta_nodes": nodes}
     return _render(header, rows, fmt), params
@@ -417,13 +407,9 @@ def _run_spin_sweep(res: _Resolver, fmt: str) -> tuple[str, dict]:
     resource = _resource_state(n, tau, "2a2s")
     thetas = [float(theta_pin)] if theta_pin is not None else list(_theta_grid(t_nodes))
     phis = [float(phi_pin)] if phi_pin is not None else list(_phi_grid(p_nodes))
-    points = [(theta, phi) for theta in thetas for phi in phis]
-
-    def one(point):
-        theta, phi = point
-        return _branch_rows(n, tau, theta, phi, resource, k_sel)
-
-    rows = [row for chunk in _pool_map(one, points) for row in chunk]
+    rows = [
+        row for theta in thetas for row in _branch_rows(resource, theta, phis, k_sel)
+    ]
     header = ("theta", "phi", "k", "p", "sx", "sy", "sz", "e")
     params = {"n": n, "tau": tau, "k": k_sel, "theta": theta_pin, "phi": phi_pin}
     return _render(header, rows, fmt), params
@@ -474,13 +460,26 @@ def _run_wigner_map(res: _Resolver, fmt: str) -> tuple[str, dict]:
     return _render(header, rows, fmt), params
 
 
-def _error_point(resource, n, theta, phi, k_cut):
+def _error_point(resource, theta, phi, k_cut):
+    """(average error, post-selected error, kept probability) at one target;
+    the last two are None without a cut."""
     spec = RotationSpec(theta, phi)
     avg = average_error(resource, spec)
     if k_cut is None:
         return avg, None, None
     ps_error, keep_p = postselected_error(resource, spec, k_cut)
     return avg, ps_error, keep_p
+
+
+def _error_rows(resource, theta: float, phis: Sequence[float], k_cut):
+    """Rows (theta, phi, e[, e_ps, keep_p]) for one polar angle, every phi.
+
+    Like the branch probabilities, the errors do not depend on phi (see
+    :func:`_branch_rows`), so they are computed once per polar angle.
+    """
+    avg, ps, keep = _error_point(resource, theta, 0.0, k_cut)
+    values = (avg,) if k_cut is None else (avg, ps, keep)
+    return [(theta, phi, *values) for phi in phis]
 
 
 def _run_error_sweep(res: _Resolver, fmt: str) -> tuple[str, dict]:
@@ -512,10 +511,10 @@ def _run_error_sweep(res: _Resolver, fmt: str) -> tuple[str, dict]:
         def one_n(n: int):
             tau = tau_flag if tau_flag is not None else find_optimal_time(n)[0]
             resource = _resource_state(n, float(tau), "2a2s")
-            avg, ps, keep = _error_point(resource, n, theta, phi, k_cut)
+            avg, ps, keep = _error_point(resource, theta, phi, k_cut)
             return n, float(tau), avg, ps, keep
 
-        results = _pool_map(one_n, list(n_list))
+        results = [one_n(n) for n in n_list]
         if k_cut is None:
             header = ("n", "theta", "phi", "e")
             rows = [(n, theta, phi, avg) for n, _t, avg, _p, _k in results]
@@ -541,14 +540,9 @@ def _run_error_sweep(res: _Resolver, fmt: str) -> tuple[str, dict]:
     resource = _resource_state(n, float(tau), "2a2s")
     thetas = [float(theta_pin)] if theta_pin is not None else list(_theta_grid(t_nodes))
     phis = [float(phi_pin)] if phi_pin is not None else list(_phi_grid(p_nodes))
-    points = [(theta, phi) for theta in thetas for phi in phis]
-
-    def one(point):
-        theta, phi = point
-        avg, ps, keep = _error_point(resource, n, theta, phi, k_cut)
-        return (theta, phi, avg) if k_cut is None else (theta, phi, avg, ps, keep)
-
-    rows = _pool_map(one, points)
+    rows = [
+        row for theta in thetas for row in _error_rows(resource, theta, phis, k_cut)
+    ]
     header = (
         ("theta", "phi", "e") if k_cut is None else ("theta", "phi", "e", "e_ps", "keep_p")
     )
@@ -577,21 +571,18 @@ def _run_fluctuation(res: _Resolver, fmt: str) -> tuple[str, dict]:
         raise UsageError(f"--tau: expected >= 0, got {tau}")
     fspec = FluctuationSpec(float(nbar), float(sigma0), float(truncation), rule)
     thetas = list(_theta_grid(t_nodes))
-
-    def one(theta: float):
-        result = fluctuating_spin_averages(fspec, RotationSpec(theta, float(phi)), tau)
-        sx, sy, sz = result.spins
-        return (theta, float(phi), sx, sy, sz), result.skipped_terms
-
-    results = _pool_map(one, thetas)
-    skipped = sum(skip for _row, skip in results)
+    results = [
+        fluctuating_spin_averages(fspec, RotationSpec(theta, float(phi)), tau)
+        for theta in thetas
+    ]
+    skipped = sum(result.skipped_terms for result in results)
     if skipped:
         print(
             f"warning: skipped {skipped} fluctuation terms where the fixed "
             "outcome exceeded the shot's atom number",
             file=sys.stderr,
         )
-    rows = [row for row, _skip in results]
+    rows = [(theta, float(phi), *result.spins) for theta, result in zip(thetas, results)]
     header = ("theta", "phi", "sx", "sy", "sz")
     params = {
         "nbar": nbar,

@@ -19,7 +19,7 @@ whose matrix elements in the Fock basis are evaluated in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_jacobi, gammaln
@@ -28,14 +28,11 @@ from .errors import DomainError, DegenerateStateError
 
 __all__ = [
     "EnsembleState",
-    "SpinOperatorSet",
     "RotationSpec",
-    "build_spin_operators",
     "y_rotation_matrix",
     "y_rotation_column",
     "rotation_matrix",
     "rotated_fock_state",
-    "apply_operator",
     "spin_expectations",
 ]
 
@@ -98,18 +95,6 @@ class EnsembleState:
 
 
 @dataclass(frozen=True)
-class SpinOperatorSet:
-    """Dense collective spin matrices for one ensemble of ``n_atoms`` atoms."""
-
-    n_atoms: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    splus: np.ndarray
-    sminus: np.ndarray
-
-
-@dataclass(frozen=True)
 class RotationSpec:
     """Bloch rotation target (theta, phi), stored in canonical ranges.
 
@@ -130,27 +115,6 @@ class RotationSpec:
         phi = phi % (2.0 * math.pi)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
-
-
-def build_spin_operators(n_atoms: int) -> SpinOperatorSet:
-    """Dense S^x, S^y, S^z, S^+, S^- for one ensemble.
-
-    Raises :class:`DomainError` for ``n_atoms < 1`` (a zero-atom ensemble
-    carries no spin structure).
-    """
-    if n_atoms < 1:
-        raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
-    n = n_atoms
-    k = np.arange(n)
-    splus = np.zeros((n + 1, n + 1), dtype=complex)
-    splus[k + 1, k] = np.sqrt((k + 1.0) * (n - k))
-    sminus = splus.conj().T.copy()
-    sz = np.diag((2.0 * np.arange(n + 1) - n).astype(complex))
-    sx = splus + sminus
-    sy = -1j * splus + 1j * sminus
-    for m in (sx, sy, sz, splus, sminus):
-        m.setflags(write=False)
-    return SpinOperatorSet(n, sx, sy, sz, splus, sminus)
 
 
 def _y_rotation_exponents(n: int, kp, k):
@@ -186,9 +150,13 @@ def _y_rotation_elements(n: int, kp, k, theta: float):
     catastrophically (the largest term exceeds the result by ~2^(N/2), which
     exhausts double precision near N ~ 100).  The same polynomial is
     therefore evaluated through its Jacobi-polynomial representation with
-    log-gamma prefactors, which is stable to N of several hundred.  Tests
-    pin the equivalence against both the literal sum and a dense matrix
-    exponential.
+    log-gamma prefactors.  Tests pin the equivalence against both the
+    literal sum and a dense matrix exponential.  The form still drifts from
+    unit column norm as N grows: at theta = pi the largest deviation of a
+    column's squared norm from 1 is 1.2e-12 at N = 100, 1.35e-12 at
+    N = 200 and 8.0e-12 at N = 300, past the 1e-12 check of
+    :class:`EnsembleState` (ROADMAP item 2 plans an exact-diagonalization
+    replacement).
     """
     k0, a, b, log_prefactor, sign = _y_rotation_exponents(n, kp, k)
     prefactor = np.exp(log_prefactor)
@@ -266,26 +234,6 @@ def rotation_log_column(
 def rotated_fock_state(n_atoms: int, k: int, spec: RotationSpec) -> EnsembleState:
     """The rotated Fock state U(theta, phi) |k> as a normalized state."""
     return EnsembleState(n_atoms, rotation_column(n_atoms, k, spec))
-
-
-def apply_operator(
-    state: EnsembleState, op: np.ndarray, unitary: bool = False
-) -> EnsembleState:
-    """Apply a dense operator to a state.
-
-    The result is flagged normalized only when the input was normalized and
-    the caller vouches for ``unitary``; a false claim fails the norm check
-    of the constructor.
-    """
-    op = np.asarray(op)
-    dim = state.n_atoms + 1
-    if op.shape != (dim, dim):
-        raise DomainError(f"operator shape {op.shape} does not match dim {dim}")
-    return EnsembleState(
-        state.n_atoms,
-        op @ state.amplitudes,
-        normalized=state.normalized and unitary,
-    )
 
 
 def spin_expectations(state: EnsembleState) -> tuple[float, float, float]:

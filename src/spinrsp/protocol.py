@@ -27,9 +27,9 @@ from scipy.linalg import eigh_tridiagonal
 from .collective_spin import (
     EnsembleState,
     RotationSpec,
-    rotated_fock_state,
     rotation_log_column,
     rotation_matrix,
+    spin_expectations,
     y_rotation_matrix,
 )
 from .errors import (
@@ -48,7 +48,6 @@ __all__ = [
     "FluctuationResult",
     "run_protocol",
     "outcome_probabilities",
-    "mean_outcome",
     "ideal_outcome",
     "error_k",
     "average_error",
@@ -82,10 +81,9 @@ class ProtocolOutcome:
 
 @dataclass(frozen=True)
 class IdealOutcome:
-    """Bob's state and spin averages in the ideal (spin-EPR) protocol."""
+    """Bob's spin averages in the ideal (spin-EPR) protocol."""
 
     k: int
-    bob_state: EnsembleState
     bob_spins: tuple[float, float, float]
 
 
@@ -160,15 +158,6 @@ def _correction_phases(n_atoms: int) -> np.ndarray:
     return np.exp(-1j * (2 * k - n_atoms) * math.pi / 2.0)
 
 
-def _ladder_spins(amps: np.ndarray, n_atoms: int, norm2: float):
-    """(<S^x>, <S^y>, <S^z>) of unnormalized amplitudes with given norm^2."""
-    k = np.arange(n_atoms)
-    up = np.sqrt((k + 1.0) * (n_atoms - k))
-    sp = complex(np.sum(np.conj(amps[1:]) * up * amps[:-1]))
-    sz = float(np.sum((2.0 * np.arange(n_atoms + 1) - n_atoms) * np.abs(amps) ** 2))
-    return 2.0 * sp.real / norm2, 2.0 * sp.imag / norm2, sz / norm2
-
-
 def run_protocol(
     resource: DiagonalPairState, spec: RotationSpec
 ) -> list[ProtocolOutcome]:
@@ -200,15 +189,10 @@ def run_protocol(
         if p < _ZERO_PROBABILITY:
             outcomes.append(ProtocolOutcome(k, 0.0, None, None, bool(corrected[k])))
             continue
-        amps = branch[:, k] / math.sqrt(p)
-        spins = _ladder_spins(amps, n, 1.0)
+        state = EnsembleState(n, branch[:, k] / math.sqrt(p))
         outcomes.append(
             ProtocolOutcome(
-                k,
-                p,
-                EnsembleState(n, amps),
-                spins,
-                bool(corrected[k]),
+                k, p, state, spin_expectations(state), bool(corrected[k])
             )
         )
     return outcomes
@@ -224,36 +208,23 @@ def outcome_probabilities(resource: DiagonalPairState, theta: float) -> np.ndarr
     return np.abs(resource.psi) ** 2 @ d**2
 
 
-def mean_outcome(probs: np.ndarray) -> float:
-    """Mean measurement outcome sum_k k P_k of a normalized distribution."""
-    probs = np.asarray(probs, dtype=float)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise DomainError(f"probabilities sum to {total!r}, expected 1")
-    return float(np.sum(np.arange(len(probs)) * probs))
-
-
 def ideal_outcome(n_atoms: int, k: int, spec: RotationSpec) -> IdealOutcome:
-    """Bob's state and spin averages when the resource is exactly spin-EPR.
+    """Bob's spin averages when the resource is exactly spin-EPR.
 
     Outcomes k >= N/2 prepare the rotated Fock state |k> at (theta, phi);
     outcomes k < N/2 prepare it at (theta, phi + pi), which carries the
-    same transverse spin averages with <S^z> sign-flipped.
+    same transverse spin averages with <S^z> sign-flipped.  Both have
+    Bloch length |2k - N|, so the averages are returned in closed form.
     """
     if not 0 <= k <= n_atoms:
         raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
-    if k < n_atoms / 2:
-        state_spec = RotationSpec(spec.theta, spec.phi + math.pi)
-    else:
-        state_spec = spec
-    state = rotated_fock_state(n_atoms, k, state_spec)
     amp = abs(2 * k - n_atoms)
     spins = (
         amp * math.sin(spec.theta) * math.cos(spec.phi),
         amp * math.sin(spec.theta) * math.sin(spec.phi),
         (2 * k - n_atoms) * math.cos(spec.theta),
     )
-    return IdealOutcome(k, state, spins)
+    return IdealOutcome(k, spins)
 
 
 def error_k(outcome: ProtocolOutcome, ideal: IdealOutcome, n_atoms: int) -> float:
@@ -396,7 +367,8 @@ def _pair_branch(
         return None, 0.0
     bob = np.zeros(n_b + 1, dtype=complex)
     bob[k_b] = branch
-    return _ladder_spins(bob, n_b, p), p * math.exp(2.0 * log_scale)
+    spins = spin_expectations(EnsembleState(n_b, bob, normalized=False))
+    return spins, p * math.exp(2.0 * log_scale)
 
 
 def pair_conditional_spins(

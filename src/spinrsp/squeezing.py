@@ -33,7 +33,6 @@ __all__ = [
     "DiagonalPairState",
     "SqueezingRun",
     "VarianceTriple",
-    "build_2a2s_tridiagonal",
     "evolve_2a2s",
     "apply_frame_rotation",
     "epr_minus",
@@ -106,14 +105,6 @@ def coupling_strengths(n_atoms: int) -> np.ndarray:
     """Off-diagonal couplings <k+1,k+1| H/J |k,k> = (N-k)(k+1), k = 0..N-1."""
     k = np.arange(n_atoms)
     return (n_atoms - k) * (k + 1.0)
-
-
-def build_2a2s_tridiagonal(n_atoms: int) -> np.ndarray:
-    """Dense symmetric matrix of H/J restricted to the diagonal pair basis."""
-    if n_atoms < 1:
-        raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
-    off = coupling_strengths(n_atoms)
-    return np.diag(off, 1) + np.diag(off, -1)
 
 
 @lru_cache(maxsize=64)

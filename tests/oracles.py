@@ -11,17 +11,24 @@ Everything here is built by a different route than the library code:
 - Wigner 3j symbols from Clebsch-Gordan coefficients constructed by
   highest-weight states and lowering operators.
 
-Tests compare the fast library implementations against these oracles.
+Tests compare the fast library implementations against these oracles.  The
+dense operator helpers at the end are not oracles: only tests use them, so
+they live here rather than in the library.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
+
+from spinrsp.collective_spin import EnsembleState
+from spinrsp.errors import DomainError
+from spinrsp.squeezing import coupling_strengths
 
 
 # --- collective operators from first principles ---------------------------
@@ -276,3 +283,76 @@ def wigner_3j_from_cg(j1, j2, j3, m1, m2, m3) -> float:
     """3j symbol via its defining relation to Clebsch-Gordan coefficients."""
     sign = (-1.0) ** round(j1 - j2 - m3)
     return sign / math.sqrt(2 * j3 + 1) * clebsch_gordan(j1, m1, j2, m2, j3, -m3)
+
+
+# --- dense operators and helpers used only by tests ------------------------
+
+
+@dataclass(frozen=True)
+class SpinOperatorSet:
+    """Dense collective spin matrices for one ensemble of ``n_atoms`` atoms."""
+
+    n_atoms: int
+    sx: np.ndarray
+    sy: np.ndarray
+    sz: np.ndarray
+    splus: np.ndarray
+    sminus: np.ndarray
+
+
+def build_spin_operators(n_atoms: int) -> SpinOperatorSet:
+    """Dense S^x, S^y, S^z, S^+, S^- for one ensemble.
+
+    Raises :class:`DomainError` for ``n_atoms < 1`` (a zero-atom ensemble
+    carries no spin structure).
+    """
+    if n_atoms < 1:
+        raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
+    n = n_atoms
+    k = np.arange(n)
+    splus = np.zeros((n + 1, n + 1), dtype=complex)
+    splus[k + 1, k] = np.sqrt((k + 1.0) * (n - k))
+    sminus = splus.conj().T.copy()
+    sz = np.diag((2.0 * np.arange(n + 1) - n).astype(complex))
+    sx = splus + sminus
+    sy = -1j * splus + 1j * sminus
+    for m in (sx, sy, sz, splus, sminus):
+        m.setflags(write=False)
+    return SpinOperatorSet(n, sx, sy, sz, splus, sminus)
+
+
+def apply_operator(
+    state: EnsembleState, op: np.ndarray, unitary: bool = False
+) -> EnsembleState:
+    """Apply a dense operator to a state.
+
+    The result is flagged normalized only when the input was normalized and
+    the caller vouches for ``unitary``; a false claim fails the norm check
+    of the constructor.
+    """
+    op = np.asarray(op)
+    dim = state.n_atoms + 1
+    if op.shape != (dim, dim):
+        raise DomainError(f"operator shape {op.shape} does not match dim {dim}")
+    return EnsembleState(
+        state.n_atoms,
+        op @ state.amplitudes,
+        normalized=state.normalized and unitary,
+    )
+
+
+def build_2a2s_tridiagonal(n_atoms: int) -> np.ndarray:
+    """Dense symmetric matrix of H/J restricted to the diagonal pair basis."""
+    if n_atoms < 1:
+        raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
+    off = coupling_strengths(n_atoms)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def mean_outcome(probs: np.ndarray) -> float:
+    """Mean measurement outcome sum_k k P_k of a normalized distribution."""
+    probs = np.asarray(probs, dtype=float)
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-8:
+        raise DomainError(f"probabilities sum to {total!r}, expected 1")
+    return float(np.sum(np.arange(len(probs)) * probs))

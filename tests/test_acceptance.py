@@ -4,6 +4,9 @@ Each test evaluates its criterion at the stated tolerance, prints a single
 ``ACCEPTANCE n: PASS/FAIL`` line with the measured numbers, and asserts the
 same condition (so the printed verdict and the pytest verdict always agree).
 Criteria with stated runtime budgets also assert the elapsed wall time.
+Deviations are collected and reduced with ``np.max``, which propagates NaN:
+a NaN deviation fails its bound instead of dropping out of the maximum, as
+it would from Python's ``max(worst, x)``.
 """
 
 import math
@@ -67,8 +70,8 @@ def test_criterion_1_optimal_squeezing_times():
 
 def test_criterion_2_ideal_protocol_exactness():
     start = time.perf_counter()
-    worst_spin = 0.0
-    worst_prob = 0.0
+    spin_devs = []
+    prob_devs = []
     thetas = np.linspace(0.0, math.pi, 13)
     phis = np.arange(13) * (2.0 * math.pi / 13)
     for n in range(1, 13):
@@ -78,17 +81,12 @@ def test_criterion_2_ideal_protocol_exactness():
             for phi in phis:
                 spec = RotationSpec(float(theta), float(phi))
                 for outcome in run_protocol(resource, spec):
-                    worst_prob = max(
-                        worst_prob, abs(outcome.probability - uniform)
-                    )
+                    prob_devs.append(abs(outcome.probability - uniform))
                     ideal = ideal_outcome(n, outcome.k, spec)
-                    worst_spin = max(
-                        worst_spin,
-                        max(
-                            abs(a - b)
-                            for a, b in zip(outcome.bob_spins, ideal.bob_spins)
-                        ),
-                    )
+                    diff = np.subtract(outcome.bob_spins, ideal.bob_spins)
+                    spin_devs.append(np.max(np.abs(diff)))
+    worst_spin = float(np.max(spin_devs))
+    worst_prob = float(np.max(prob_devs))
     elapsed = time.perf_counter() - start
     ok = worst_spin < 1e-9 and worst_prob < 1e-12 and elapsed < 30.0
     line = report(
@@ -104,19 +102,16 @@ def test_criterion_2_ideal_protocol_exactness():
 def test_criterion_3_brute_force_equivalence():
     start = time.perf_counter()
     tau = 0.19
-    worst_amp = 0.0
-    worst_prob = 0.0
-    worst_state = 0.0
+    amp_devs = []
+    prob_devs = []
+    state_devs = []
     angles = [(0.4, 0.7), (1.2, 2.9), (math.pi / 2, 4.4), (2.8, 0.0)]
     for n in range(1, 7):
         dense = oracles.joint_evolution(n, n, tau)
         off_diagonal = dense.copy()
         np.fill_diagonal(off_diagonal, 0.0)
-        worst_amp = max(
-            worst_amp,
-            float(np.max(np.abs(off_diagonal))),
-            float(np.max(np.abs(np.diag(dense) - evolve_2a2s(n, tau).psi))),
-        )
+        amp_devs.append(np.max(np.abs(off_diagonal)))
+        amp_devs.append(np.max(np.abs(np.diag(dense) - evolve_2a2s(n, tau).psi)))
         resource = squeezing_run(n, tau).state
         for theta, phi in angles:
             ref_probs, ref_states = oracles.brute_force_protocol(
@@ -124,15 +119,15 @@ def test_criterion_3_brute_force_equivalence():
             )
             outcomes = run_protocol(resource, RotationSpec(theta, phi))
             for outcome, ref_p, ref_state in zip(outcomes, ref_probs, ref_states):
-                worst_prob = max(worst_prob, abs(outcome.probability - ref_p))
+                prob_devs.append(abs(outcome.probability - ref_p))
                 if ref_state is None or not outcome.defined:
                     continue
-                worst_state = max(
-                    worst_state,
-                    float(
-                        np.max(np.abs(outcome.bob_state.amplitudes - ref_state))
-                    ),
+                state_devs.append(
+                    np.max(np.abs(outcome.bob_state.amplitudes - ref_state))
                 )
+    worst_amp = float(np.max(amp_devs))
+    worst_prob = float(np.max(prob_devs))
+    worst_state = float(np.max(state_devs))
     elapsed = time.perf_counter() - start
     ok = (
         worst_amp < 1e-10
@@ -155,13 +150,12 @@ def test_criterion_4_probability_symmetry_and_phase_independence():
     n = 20
     tau, _ = find_optimal_time(n)
     resource = squeezing_run(n, tau).state
-    worst_reflection = 0.0
+    reflection_devs = []
     for theta in np.linspace(0.0, math.pi, 25):
         forward = outcome_probabilities(resource, float(theta))
         mirrored = outcome_probabilities(resource, math.pi - float(theta))
-        worst_reflection = max(
-            worst_reflection, float(np.max(np.abs(forward - mirrored[::-1])))
-        )
+        reflection_devs.append(np.max(np.abs(forward - mirrored[::-1])))
+    worst_reflection = float(np.max(reflection_devs))
     phis = np.arange(32) * (2.0 * math.pi / 32)
     stacked = np.array(
         [
@@ -185,10 +179,11 @@ def test_criterion_4_probability_symmetry_and_phase_independence():
 
 
 def test_criterion_5_squeezing_variances():
-    worst_zm = 0.0
-    for tau in np.linspace(0.0, 0.5, 26):
-        variances = pair_variances(squeezing_run(20, float(tau)))
-        worst_zm = max(worst_zm, abs(variances.var_zm))
+    zm_devs = [
+        abs(pair_variances(squeezing_run(20, float(tau))).var_zm)
+        for tau in np.linspace(0.0, 0.5, 26)
+    ]
+    worst_zm = float(np.max(zm_devs))
     n = 50
     tau = 0.01
     variances = pair_variances(squeezing_run(n, tau))
@@ -239,15 +234,16 @@ def test_criterion_7_wigner_normalization_and_negativity():
     resource = squeezing_run(n, tau).state
     spec = RotationSpec(0.5, 0.0)
     expected = math.sqrt(4.0 * math.pi / (n + 1))
-    worst_norm = 0.0
+    norm_devs = []
     minima = {}
     for outcome in run_protocol(resource, spec):
         if not outcome.defined:
             continue
         sphere = wigner_map(angular_state_from_ensemble(outcome.bob_state))
-        worst_norm = max(worst_norm, abs(sphere.integrate() - expected))
+        norm_devs.append(abs(sphere.integrate() - expected))
         if outcome.k in (n - 1, n):
             minima[outcome.k] = sphere.minimum()[0]
+    worst_norm = float(np.max(norm_devs))
     ok = (
         worst_norm < 1e-6
         and minima[n - 1] < 0.0
@@ -316,8 +312,7 @@ def test_criterion_8_fluctuation_robustness():
             ]
         )
         baseline_devs.append(np.max(np.abs(baseline - target)))
-    # np.max propagates NaN (a zero-length vector has no direction), so such
-    # a node fails the bound instead of dropping out of the maximum.
+    # A zero-length vector has no direction; its NaN fails the bound.
     worst_direction = float(np.max(direction_devs))
     worst_baseline = float(np.max(baseline_devs))
     worst_baseline_theta = float(thetas[int(np.argmax(baseline_devs))])
@@ -340,7 +335,7 @@ def test_criterion_8_fluctuation_robustness():
     ok = (
         worst_direction < 0.15
         and worst_baseline < 0.2
-        and max(pole_devs.values()) < 1e-12
+        and np.max(list(pole_devs.values())) < 1e-12
     )
     line = report(
         8,

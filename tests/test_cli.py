@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import spinrsp.cli as cli
-from spinrsp.squeezing import DiagonalPairState
+from spinrsp.collective_spin import RotationSpec
+from spinrsp.protocol import (
+    average_error,
+    error_k,
+    ideal_outcome,
+    postselected_error,
+    run_protocol,
+)
+from spinrsp.squeezing import DiagonalPairState, squeezing_run
 
 
 def run_main(*args) -> int:
@@ -80,7 +88,7 @@ class TestRendering:
         resource = DiagonalPairState(
             2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
         )
-        rows = cli._branch_rows(2, 0.0, 0.0, 0.0, resource, None)
+        rows = cli._branch_rows(resource, 0.0, [0.0], None)
         text = cli._render(
             ("theta", "phi", "k", "p", "sx", "sy", "sz", "e"), rows, "csv"
         )
@@ -93,7 +101,7 @@ class TestRendering:
         resource = DiagonalPairState(
             2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
         )
-        rows = cli._branch_rows(2, 0.0, 0.0, 0.0, resource, None)
+        rows = cli._branch_rows(resource, 0.0, [0.0], None)
         payload = json.loads(
             cli._render(("theta", "phi", "k", "p", "sx", "sy", "sz", "e"), rows, "json")
         )
@@ -259,6 +267,101 @@ class TestSchemas:
         assert text.index('"header"') < text.index('"rows"')
 
 
+class TestPhiAsBobRotation:
+    """Sweeps run the protocol once per polar angle and apply phi as Bob's
+    z-rotation; every row must equal a per-point evaluation."""
+
+    N = 12
+    # Folded polar angles (theta > pi), negative ones, and azimuths outside
+    # [0, 2 pi) all pass through RotationSpec's reduction.
+    THETAS = (0.0, 0.4, 1.1, math.pi, 4.0, -0.7)
+    PHIS = (0.0, 1.3, -2.0, 7.5, 2.0 * math.pi + 0.3, 4.2)
+
+    @pytest.fixture(scope="class")
+    def resource(self):
+        return squeezing_run(self.N, 0.15).state
+
+    def point_rows(self, resource, theta, phi, k_sel):
+        spec = RotationSpec(theta, phi)
+        rows = []
+        for o in run_protocol(resource, spec):
+            if k_sel is not None and o.k != k_sel:
+                continue
+            if not o.defined:
+                rows.append((theta, phi, o.k, o.probability, None, None, None, None))
+                continue
+            err = error_k(o, ideal_outcome(self.N, o.k, spec), self.N)
+            rows.append((theta, phi, o.k, o.probability, *o.bob_spins, err))
+        return rows
+
+    @staticmethod
+    def assert_rows_equal(rows, expected):
+        assert len(rows) == len(expected)
+        for row, ref in zip(rows, expected):
+            assert len(row) == len(ref)
+            for cell, ref_cell in zip(row, ref):
+                if ref_cell is None:
+                    assert cell is None
+                else:
+                    assert abs(cell - ref_cell) < 1e-12, (row, ref)
+
+    @pytest.mark.parametrize("k_sel", [None, 0, 9])
+    def test_branch_rows_match_per_point_protocol(self, resource, k_sel):
+        for theta in self.THETAS:
+            rows = cli._branch_rows(resource, theta, self.PHIS, k_sel)
+            expected = [
+                row
+                for phi in self.PHIS
+                for row in self.point_rows(resource, theta, phi, k_sel)
+            ]
+            self.assert_rows_equal(rows, expected)
+
+    @pytest.mark.parametrize("k_cut", [None, 0, 3])
+    def test_error_rows_match_per_point_errors(self, resource, k_cut):
+        for theta in self.THETAS:
+            rows = cli._error_rows(resource, theta, self.PHIS, k_cut)
+            expected = []
+            for phi in self.PHIS:
+                spec = RotationSpec(theta, phi)
+                avg = average_error(resource, spec)
+                if k_cut is None:
+                    expected.append((theta, phi, avg))
+                else:
+                    expected.append(
+                        (theta, phi, avg, *postselected_error(resource, spec, k_cut))
+                    )
+            self.assert_rows_equal(rows, expected)
+
+    def test_spin_sweep_at_theta_pi_n100(self, tmp_path):
+        # At N = 100 the closed-form rotation column drifts 1.2e-12 from unit
+        # norm at theta = pi, past the 1e-12 check of a normalized state, so
+        # the sweep must build no such column as a normalized state.
+        out = tmp_path / "ss.csv"
+        assert run_main(
+            "spin-sweep", "--n", "100", "--theta", "pi:1", "--phi-nodes", "4",
+            "--out", str(out),
+        ) == 0
+        rows = read_rows(out, "theta,phi,k,p,sx,sy,sz,e")
+        assert len(rows) == 4 * 101
+        for phi in sorted({row[1] for row in rows}):
+            total = sum(float(row[3]) for row in rows if row[1] == phi)
+            assert total == pytest.approx(1.0, abs=1e-9)
+        assert all(0.0 <= float(row[7]) <= 1.0 for row in rows if row[7] != "nan")
+
+    def test_error_sweep_at_theta_pi_n100(self, tmp_path):
+        out = tmp_path / "es.csv"
+        assert run_main(
+            "error-sweep", "--n", "100", "--theta", "pi:1", "--phi-nodes", "4",
+            "--k-cut", "0", "--out", str(out),
+        ) == 0
+        rows = read_rows(out, "theta,phi,e,e_ps,keep_p")
+        assert len(rows) == 4
+        for row in rows:
+            assert 0.0 <= float(row[2]) <= 1.0
+            assert 0.0 <= float(row[3]) <= 1.0
+            assert 0.0 < float(row[4]) <= 1.0
+
+
 class TestManifest:
     def test_checksum_matches_output(self, tmp_path):
         out = tmp_path / "pd.csv"
@@ -385,16 +488,6 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_invalid_worker_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPINRSP_WORKERS", "abc")
-        assert run_main(
-            "prob-dist", "--n", "3", "--out", str(tmp_path / "x.csv")
-        ) == 2
-        monkeypatch.setenv("SPINRSP_WORKERS", "0")
-        assert run_main(
-            "prob-dist", "--n", "3", "--out", str(tmp_path / "x.csv")
-        ) == 2
-
     def test_unknown_flag_is_usage_error(self):
         result = run_process("protocol", "--bogus", "1")
         assert result.returncode == 2
@@ -423,16 +516,6 @@ class TestDeterminism:
         args = ["protocol", "--n", "8", "--tau", "0.15", "--theta", "1.1",
                 "--phi", "2.2"]
         assert run_main(*args, "--out", str(out1)) == 0
-        assert run_main(*args, "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
-        args = ["prob-dist", "--n", "10", "--theta-nodes", "13"]
-        monkeypatch.setenv("SPINRSP_WORKERS", "1")
-        out1 = tmp_path / "serial.csv"
-        assert run_main(*args, "--out", str(out1)) == 0
-        monkeypatch.setenv("SPINRSP_WORKERS", "4")
-        out2 = tmp_path / "pooled.csv"
         assert run_main(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 

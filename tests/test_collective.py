@@ -8,14 +8,14 @@ import pytest
 
 from oracles import (
     alternating_sum_rotation,
+    apply_operator,
+    build_spin_operators,
     expm_rotation,
     qubit_collective_operators,
 )
 from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
-    apply_operator,
-    build_spin_operators,
     rotated_fock_state,
     rotation_column,
     rotation_log_column,

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_pair_spins, brute_force_protocol
-from spinrsp.collective_spin import RotationSpec, y_rotation_matrix
+from oracles import brute_force_pair_spins, brute_force_protocol, mean_outcome
+from spinrsp.collective_spin import (
+    RotationSpec,
+    rotated_fock_state,
+    y_rotation_matrix,
+)
 from spinrsp.errors import (
     ContractViolationError,
     DomainError,
@@ -20,7 +24,6 @@ from spinrsp.protocol import (
     error_k,
     fluctuating_spin_averages,
     ideal_outcome,
-    mean_outcome,
     outcome_probabilities,
     pair_conditional_spins,
     postselected_error,
@@ -40,6 +43,13 @@ TAU_OPT_20 = 0.121449
 
 def squeezed_resource(n: int, tau: float) -> DiagonalPairState:
     return squeezing_run(n, tau).state
+
+
+def ideal_state(n: int, k: int, spec: RotationSpec):
+    """Bob's state in the ideal protocol: the rotated Fock state |k> at
+    (theta, phi), or at (theta, phi + pi) for outcomes k < N/2."""
+    phi = spec.phi + math.pi if k < n / 2 else spec.phi
+    return rotated_fock_state(n, k, RotationSpec(spec.theta, phi))
 
 
 class TestRunProtocol:
@@ -83,7 +93,7 @@ class TestRunProtocol:
                     else:
                         overlap = abs(
                             np.vdot(
-                                ideal.bob_state.amplitudes,
+                                ideal_state(n, o.k, spec).amplitudes,
                                 o.bob_state.amplitudes,
                             )
                         ) ** 2
@@ -277,23 +287,6 @@ class TestIdealOutcome:
             abs(2 * k - n), abs=1e-9
         )
 
-    def test_state_case_split(self):
-        n, spec = 6, RotationSpec(1.1, 0.7)
-        low = ideal_outcome(n, 1, spec)
-        high = ideal_outcome(n, 5, spec)
-        from spinrsp.collective_spin import rotated_fock_state
-
-        np.testing.assert_allclose(
-            low.bob_state.amplitudes,
-            rotated_fock_state(n, 1, RotationSpec(1.1, 0.7 + math.pi)).amplitudes,
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            high.bob_state.amplitudes,
-            rotated_fock_state(n, 5, spec).amplitudes,
-            atol=1e-12,
-        )
-
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
             ideal_outcome(5, 6, RotationSpec(0.1, 0.0))
@@ -312,7 +305,7 @@ class TestErrorMetrics:
         flipped = ProtocolOutcome(
             k=n,
             probability=1.0,
-            bob_state=ideal.bob_state,
+            bob_state=rotated_fock_state(n, n, spec),
             bob_spins=(0.0, 0.0, -float(n)),
             correction_applied=False,
         )

@@ -6,12 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import frame_phase_vector, joint_evolution
+from oracles import build_2a2s_tridiagonal, frame_phase_vector, joint_evolution
 from spinrsp.errors import ContractViolationError, DomainError
 from spinrsp.squeezing import (
     DiagonalPairState,
     apply_frame_rotation,
-    build_2a2s_tridiagonal,
     coupling_strengths,
     epr_minus,
     evolve_2a2s,
