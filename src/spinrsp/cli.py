@@ -36,14 +36,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .collective_spin import RotationSpec
+from .collective_spin import EnsembleState, RotationSpec
 from .errors import DomainError, SpinRspError, UndefinedOutcomeError
 from .protocol import (
     FluctuationSpec,
     average_error,
-    error_k,
     fluctuating_spin_averages,
-    ideal_outcome,
     outcome_probabilities,
     postselected_error,
     run_protocol,
@@ -302,27 +300,22 @@ def _branch_rows(resource, theta: float, phis: Sequence[float], k_sel):
     are those at phi = 0, and (<S^x>, <S^y>) turn by phi.  The protocol
     thus runs once per polar angle.
     """
-    n = resource.n_atoms
     base = RotationSpec(theta, 0.0)
-    branches = []
-    for outcome in run_protocol(resource, base):
-        if k_sel is not None and outcome.k != k_sel:
-            continue
-        err = None
-        if outcome.defined:
-            err = error_k(outcome, ideal_outcome(n, outcome.k, base), n)
-        branches.append((outcome.k, outcome.probability, outcome.bob_spins, err))
+    branches = [
+        o for o in run_protocol(resource, base) if k_sel is None or o.k == k_sel
+    ]
     rows = []
     for phi in phis:
         turn = RotationSpec(theta, phi).phi - base.phi
         cos, sin = math.cos(turn), math.sin(turn)
-        for k, p, spins, err in branches:
-            if spins is None:
-                rows.append((theta, phi, k, p, None, None, None, None))
+        for o in branches:
+            if not o.defined:
+                rows.append((theta, phi, o.k, o.probability, None, None, None, None))
                 continue
-            sx, sy, sz = spins
+            sx, sy, sz = o.bob_spins
             rows.append(
-                (theta, phi, k, p, cos * sx - sin * sy, sin * sx + cos * sy, sz, err)
+                (theta, phi, o.k, o.probability,
+                 cos * sx - sin * sy, sin * sx + cos * sy, sz, o.error)
             )
     return rows
 
@@ -440,7 +433,8 @@ def _run_wigner_map(res: _Resolver, fmt: str) -> tuple[str, dict]:
         raise UndefinedOutcomeError(
             f"outcome k={k} has zero probability at this target; nothing to map"
         )
-    sphere = wigner_map(angular_state_from_ensemble(branch.bob_state), t_nodes, p_nodes)
+    state = EnsembleState(n, branch.amplitudes)
+    sphere = wigner_map(angular_state_from_ensemble(state), t_nodes, p_nodes)
     rows = [
         (float(sphere.theta[i]), float(sphere.phi[j]), float(sphere.values[i, j]))
         for i in range(len(sphere.theta))
@@ -463,11 +457,11 @@ def _run_wigner_map(res: _Resolver, fmt: str) -> tuple[str, dict]:
 def _error_point(resource, theta, phi, k_cut):
     """(average error, post-selected error, kept probability) at one target;
     the last two are None without a cut."""
-    spec = RotationSpec(theta, phi)
-    avg = average_error(resource, spec)
+    outcomes = run_protocol(resource, RotationSpec(theta, phi))
+    avg = average_error(outcomes)
     if k_cut is None:
         return avg, None, None
-    ps_error, keep_p = postselected_error(resource, spec, k_cut)
+    ps_error, keep_p = postselected_error(outcomes, k_cut)
     return avg, ps_error, keep_p
 
 

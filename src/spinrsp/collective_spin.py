@@ -30,9 +30,7 @@ __all__ = [
     "EnsembleState",
     "RotationSpec",
     "y_rotation_matrix",
-    "y_rotation_column",
     "rotation_matrix",
-    "rotated_fock_state",
     "spin_expectations",
 ]
 
@@ -65,33 +63,10 @@ class EnsembleState:
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
             norm2 = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm2 - 1.0) > _NORM_TOL:
+            if not abs(norm2 - 1.0) <= _NORM_TOL:
                 raise DomainError(
                     f"state flagged normalized but sum |a_k|^2 = {norm2!r}"
                 )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "EnsembleState") -> complex:
-        """Inner product <self|other>."""
-        if other.n_atoms != self.n_atoms:
-            raise DomainError("overlap requires equal n_atoms")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_atoms,
-            "re": [float(x) for x in self.amplitudes.real],
-            "im": [float(x) for x in self.amplitudes.imag],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, normalized: bool = True) -> "EnsembleState":
-        amps = np.asarray(data["re"], dtype=float) + 1j * np.asarray(
-            data["im"], dtype=float
-        )
-        return cls(int(data["n"]), amps, normalized=normalized)
 
 
 @dataclass(frozen=True)
@@ -174,14 +149,6 @@ def y_rotation_matrix(n_atoms: int, theta: float) -> np.ndarray:
     return _y_rotation_elements(n_atoms, kk[:, None], kk[None, :], theta)
 
 
-def y_rotation_column(n_atoms: int, k: int, theta: float) -> np.ndarray:
-    """Column k of :func:`y_rotation_matrix` without building the matrix."""
-    if not 0 <= k <= n_atoms:
-        raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
-    kk = np.arange(n_atoms + 1)
-    return _y_rotation_elements(n_atoms, kk, float(k), theta)
-
-
 def rotation_matrix(n_atoms: int, spec: RotationSpec) -> np.ndarray:
     """Unitary of U(theta, phi) = exp(-i S^z phi/2) exp(-i S^y theta/2).
 
@@ -195,13 +162,6 @@ def rotation_matrix(n_atoms: int, spec: RotationSpec) -> np.ndarray:
     return z_phase[:, None] * y_rotation_matrix(n_atoms, spec.theta)
 
 
-def rotation_column(n_atoms: int, k: int, spec: RotationSpec) -> np.ndarray:
-    """Fock-basis amplitudes of U(theta, phi) |k> (column k of the unitary)."""
-    kp = np.arange(n_atoms + 1)
-    z_phase = np.exp(-1j * (2 * kp - n_atoms) * spec.phi / 2.0)
-    return z_phase * y_rotation_column(n_atoms, k, spec.theta)
-
-
 def rotation_log_column(
     n_atoms: int, k: int, spec: RotationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +169,8 @@ def rotation_log_column(
 
     Element kp equals ``phases[kp] * exp(log_moduli[kp])``; an exactly zero
     element has log-modulus -inf.  Near theta = 0 and pi most elements are
-    high powers of sin(theta/2) or cos(theta/2), which
-    :func:`rotation_column` underflows to zero; here they keep their full
+    high powers of sin(theta/2) or cos(theta/2), which the columns of
+    :func:`rotation_matrix` underflow to zero; here they keep their full
     relative precision.
     """
     if not 0 <= k <= n_atoms:
@@ -231,29 +191,32 @@ def rotation_log_column(
     return z_phase * sign * np.sign(jacobi), log_moduli
 
 
-def rotated_fock_state(n_atoms: int, k: int, spec: RotationSpec) -> EnsembleState:
-    """The rotated Fock state U(theta, phi) |k> as a normalized state."""
-    return EnsembleState(n_atoms, rotation_column(n_atoms, k, spec))
-
-
-def spin_expectations(state: EnsembleState) -> tuple[float, float, float]:
+def spin_expectations(state) -> tuple[float, float, float] | np.ndarray:
     """(<S^x>, <S^y>, <S^z>) of a (not necessarily normalized) state.
 
-    Uses the ladder structure directly instead of dense matrices; the
-    tiny imaginary residue of the Hermitian expectations is discarded.
+    ``state`` is an :class:`EnsembleState`, its amplitude vector, or an
+    (N+1, m) array whose columns are m states of one N-atom ensemble.  A
+    single state gives a tuple; columns give an (m, 3) array whose row j
+    holds the spins of column j.  Uses the ladder structure directly instead
+    of dense matrices; the tiny imaginary residue of the Hermitian
+    expectations is discarded.
     """
-    amps = state.amplitudes
-    n = state.n_atoms
-    norm2 = float(np.sum(np.abs(amps) ** 2))
-    if norm2 < 1e-24:
-        raise DegenerateStateError("spin expectations of a zero-norm state")
+    amps = state.amplitudes if isinstance(state, EnsembleState) else np.asarray(state)
+    n = amps.shape[0] - 1
+    cols = amps.reshape(n + 1, -1)
+    weights = np.abs(cols) ** 2
+    norm2 = np.sum(weights, axis=0)
+    if not np.all(norm2 >= 1e-24):
+        raise DegenerateStateError(
+            "spin expectations of a zero-norm or non-finite state"
+        )
     k = np.arange(n)
     # <S^+> accumulated over <k+1| S^+ |k> couplings (empty sum when n = 0).
     up = np.sqrt((k + 1.0) * (n - k))
-    splus_exp = complex(np.sum(np.conj(amps[1:]) * up * amps[:-1]))
-    sz_exp = float(np.sum((2.0 * np.arange(n + 1) - n) * np.abs(amps) ** 2))
-    return (
-        2.0 * splus_exp.real / norm2,
-        2.0 * splus_exp.imag / norm2,
-        sz_exp / norm2,
-    )
+    splus_exp = np.sum(np.conj(cols[1:]) * up[:, None] * cols[:-1], axis=0)
+    sz_exp = np.sum((2.0 * np.arange(n + 1) - n)[:, None] * weights, axis=0)
+    spins = np.stack([2.0 * splus_exp.real, 2.0 * splus_exp.imag, sz_exp], axis=1)
+    spins /= norm2[:, None]
+    if amps.ndim == 1:
+        return tuple(spins[0].tolist())
+    return spins

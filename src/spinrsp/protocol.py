@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .collective_spin import (
-    EnsembleState,
+    _NORM_TOL,
     RotationSpec,
     rotation_log_column,
     rotation_matrix,
@@ -37,19 +38,15 @@ from .errors import (
     DomainError,
     EmptyPostSelectionError,
     NumericalError,
-    UndefinedOutcomeError,
 )
 from .squeezing import DiagonalPairState
 
 __all__ = [
     "ProtocolOutcome",
-    "IdealOutcome",
     "FluctuationSpec",
     "FluctuationResult",
     "run_protocol",
     "outcome_probabilities",
-    "ideal_outcome",
-    "error_k",
     "average_error",
     "postselected_error",
     "pair_conditional_spins",
@@ -63,28 +60,24 @@ _ZERO_PROBABILITY = 1e-14
 class ProtocolOutcome:
     """One measurement branch: outcome k, its probability, Bob's state.
 
+    ``amplitudes`` is Bob's normalized conditional state (read-only),
+    ``bob_spins`` its (<S^x>, <S^y>, <S^z>) and ``error`` its Bloch-sphere
+    distance (1/2N) |<S> - <S>_ideal| from the spin-EPR outcome, in [0, 1].
     Zero-probability branches are represented with ``probability = 0`` and
-    no conditional state (``bob_state`` and ``bob_spins`` are None);
-    consumers must skip them.
+    no conditional state (``amplitudes``, ``bob_spins`` and ``error`` are
+    None); consumers must skip them.
     """
 
     k: int
     probability: float
-    bob_state: EnsembleState | None
+    amplitudes: np.ndarray | None
     bob_spins: tuple[float, float, float] | None
+    error: float | None
     correction_applied: bool
 
     @property
     def defined(self) -> bool:
-        return self.bob_state is not None
-
-
-@dataclass(frozen=True)
-class IdealOutcome:
-    """Bob's spin averages in the ideal (spin-EPR) protocol."""
-
-    k: int
-    bob_spins: tuple[float, float, float]
+        return self.amplitudes is not None
 
 
 @dataclass(frozen=True)
@@ -168,6 +161,14 @@ def run_protocol(
     constructed frame-ready.  The operator sequence is applied numerically;
     the closed-form phase expression for the conditional state is exercised
     as a cross-check in the test suite, not used here.
+
+    Every branch is one column of the (N+1) x (N+1) branch matrix, so the
+    probabilities, normalized states, spins and errors are array
+    reductions over its columns.  In the ideal (spin-EPR) protocol outcome
+    k leaves Bob's spins at |2k - N| (sin theta cos phi, sin theta sin phi)
+    transverse and (2k - N) cos theta along z: outcomes k >= N/2 prepare the
+    rotated Fock state |k> at (theta, phi), outcomes k < N/2 the one at
+    (theta, phi + pi).
     """
     if not resource.frame_rotated:
         raise ContractViolationError(
@@ -183,17 +184,41 @@ def run_protocol(
     corrected = kk < n / 2
     branch[:, corrected] *= _correction_phases(n)[:, None]
     probs = np.sum(np.abs(branch) ** 2, axis=0)
-    outcomes = []
-    for k in range(n + 1):
-        p = float(probs[k])
-        if p < _ZERO_PROBABILITY:
-            outcomes.append(ProtocolOutcome(k, 0.0, None, None, bool(corrected[k])))
-            continue
-        state = EnsembleState(n, branch[:, k] / math.sqrt(p))
-        outcomes.append(
-            ProtocolOutcome(
-                k, p, state, spin_expectations(state), bool(corrected[k])
-            )
+    # A NaN probability counts as defined, so the norm check below reports it.
+    index = np.flatnonzero(~(probs < _ZERO_PROBABILITY))
+    with np.errstate(invalid="ignore"):
+        amps = branch[:, index] / np.sqrt(probs[index])
+    norm2 = np.sum(np.abs(amps) ** 2, axis=0)
+    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= _NORM_TOL))
+    if bad.size:
+        raise NumericalError(
+            f"branch k={index[bad[0]]} not normalized: "
+            f"sum |a_k|^2 = {float(norm2[bad[0]])!r}"
+        )
+    amps.setflags(write=False)
+    spins = spin_expectations(amps)
+    m = 2 * index - n
+    ideal = np.stack(
+        [
+            np.abs(m) * math.sin(spec.theta) * math.cos(spec.phi),
+            np.abs(m) * math.sin(spec.theta) * math.sin(spec.phi),
+            m * math.cos(spec.theta),
+        ],
+        axis=1,
+    )
+    errors = np.linalg.norm(spins - ideal, axis=1) / (2.0 * n)
+    outcomes = [
+        ProtocolOutcome(k, 0.0, None, None, None, bool(corrected[k]))
+        for k in range(n + 1)
+    ]
+    for j, k in enumerate(index.tolist()):
+        outcomes[k] = ProtocolOutcome(
+            k,
+            float(probs[k]),
+            amps[:, j],
+            tuple(spins[j].tolist()),
+            float(errors[j]),
+            bool(corrected[k]),
         )
     return outcomes
 
@@ -208,78 +233,30 @@ def outcome_probabilities(resource: DiagonalPairState, theta: float) -> np.ndarr
     return np.abs(resource.psi) ** 2 @ d**2
 
 
-def ideal_outcome(n_atoms: int, k: int, spec: RotationSpec) -> IdealOutcome:
-    """Bob's spin averages when the resource is exactly spin-EPR.
-
-    Outcomes k >= N/2 prepare the rotated Fock state |k> at (theta, phi);
-    outcomes k < N/2 prepare it at (theta, phi + pi), which carries the
-    same transverse spin averages with <S^z> sign-flipped.  Both have
-    Bloch length |2k - N|, so the averages are returned in closed form.
-    """
-    if not 0 <= k <= n_atoms:
-        raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
-    amp = abs(2 * k - n_atoms)
-    spins = (
-        amp * math.sin(spec.theta) * math.cos(spec.phi),
-        amp * math.sin(spec.theta) * math.sin(spec.phi),
-        (2 * k - n_atoms) * math.cos(spec.theta),
-    )
-    return IdealOutcome(k, spins)
-
-
-def error_k(outcome: ProtocolOutcome, ideal: IdealOutcome, n_atoms: int) -> float:
-    """Bloch-sphere distance (1/2N) |<S>_actual - <S>_ideal|, in [0, 1]."""
-    if outcome.k != ideal.k:
-        raise DomainError(
-            f"outcome (k={outcome.k}) and ideal (k={ideal.k}) must share k"
-        )
-    if not outcome.defined:
-        raise UndefinedOutcomeError(
-            f"outcome k={outcome.k} has zero probability; its error is undefined"
-        )
-    diff = np.subtract(outcome.bob_spins, ideal.bob_spins)
-    return float(np.linalg.norm(diff) / (2.0 * n_atoms))
-
-
-def average_error(resource: DiagonalPairState, spec: RotationSpec) -> float:
-    """Probability-weighted mean of error_k; zero-probability branches skipped."""
-    n = resource.n_atoms
-    total = 0.0
-    for outcome in run_protocol(resource, spec):
-        if not outcome.defined:
-            continue
-        total += outcome.probability * error_k(
-            outcome, ideal_outcome(n, outcome.k, spec), n
-        )
-    return total
+def average_error(outcomes: Sequence[ProtocolOutcome]) -> float:
+    """Probability-weighted mean of the branch errors; undefined branches skipped."""
+    return float(sum(o.probability * o.error for o in outcomes if o.defined))
 
 
 def postselected_error(
-    resource: DiagonalPairState, spec: RotationSpec, k_cut: int
+    outcomes: Sequence[ProtocolOutcome], k_cut: int
 ) -> tuple[float, float]:
     """Error averaged over the extremal outcomes k <= k_cut or k >= N - k_cut.
 
-    Returns (post-selected error, kept probability).  Raises
+    ``outcomes`` is the full branch list of :func:`run_protocol`.  Returns
+    (post-selected error, kept probability).  Raises
     :class:`EmptyPostSelectionError` when the kept set has zero probability.
     """
-    n = resource.n_atoms
+    n = len(outcomes) - 1
     if not 0 <= k_cut < n / 2:
         raise DomainError(f"k_cut must lie in [0, N/2) = [0, {n / 2}), got {k_cut}")
-    keep_p = 0.0
-    weighted = 0.0
-    for outcome in run_protocol(resource, spec):
-        if not (outcome.k <= k_cut or outcome.k >= n - k_cut):
-            continue
-        keep_p += outcome.probability
-        if outcome.defined:
-            weighted += outcome.probability * error_k(
-                outcome, ideal_outcome(n, outcome.k, spec), n
-            )
+    kept = [o for o in outcomes if o.k <= k_cut or o.k >= n - k_cut]
+    keep_p = sum(o.probability for o in kept)
     if keep_p < _ZERO_PROBABILITY:
         raise EmptyPostSelectionError(
             f"post-selection with k_cut={k_cut} kept zero probability"
         )
-    return weighted / keep_p, keep_p
+    return average_error(kept) / keep_p, keep_p
 
 
 # --- atom-number fluctuations -------------------------------------------
@@ -367,7 +344,7 @@ def _pair_branch(
         return None, 0.0
     bob = np.zeros(n_b + 1, dtype=complex)
     bob[k_b] = branch
-    spins = spin_expectations(EnsembleState(n_b, bob, normalized=False))
+    spins = spin_expectations(bob)
     return spins, p * math.exp(2.0 * log_scale)
 
 

@@ -68,7 +68,7 @@ class DiagonalPairState:
                 f"got shape {psi.shape}"
             )
         norm2 = float(np.sum(np.abs(psi) ** 2))
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise DomainError(f"pair state not normalized: sum |psi_k|^2 = {norm2!r}")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)

@@ -52,11 +52,11 @@ class AngularState:
             raise DomainError(
                 f"density matrix for j={self.j} must be {dim}x{dim}, got {rho.shape}"
             )
-        if abs(np.trace(rho) - 1.0) > 1e-12:
+        if not abs(np.trace(rho) - 1.0) <= 1e-12:
             raise DomainError(f"density matrix trace is {np.trace(rho)!r}, expected 1")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
             raise DomainError("density matrix is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(rho))) < -1e-10:
+        if not float(np.min(np.linalg.eigvalsh(rho))) >= -1e-10:
             raise DomainError("density matrix has a significantly negative eigenvalue")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)

@@ -12,8 +12,10 @@ Everything here is built by a different route than the library code:
   highest-weight states and lowering operators.
 
 Tests compare the fast library implementations against these oracles.  The
-dense operator helpers at the end are not oracles: only tests use them, so
-they live here rather than in the library.
+per-branch protocol loop rebuilds every branch as its own state, with the
+ideal outcome and its error taken one branch at a time.  The dense operator
+and single-column helpers at the end are not oracles: only tests use them,
+so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -26,9 +28,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from spinrsp.collective_spin import EnsembleState
-from spinrsp.errors import DomainError
-from spinrsp.squeezing import coupling_strengths
+from spinrsp.collective_spin import (
+    EnsembleState,
+    RotationSpec,
+    _y_rotation_elements,
+    rotation_matrix,
+    spin_expectations,
+)
+from spinrsp.errors import DomainError, UndefinedOutcomeError
+from spinrsp.squeezing import DiagonalPairState, coupling_strengths
 
 
 # --- collective operators from first principles ---------------------------
@@ -356,3 +364,144 @@ def mean_outcome(probs: np.ndarray) -> float:
     if abs(total - 1.0) > 1e-8:
         raise DomainError(f"probabilities sum to {total!r}, expected 1")
     return float(np.sum(np.arange(len(probs)) * probs))
+
+
+# --- the protocol one branch at a time ---------------------------------------
+
+
+@dataclass(frozen=True)
+class IdealOutcome:
+    """Bob's spin averages in the ideal (spin-EPR) protocol."""
+
+    k: int
+    bob_spins: tuple[float, float, float]
+
+
+def ideal_outcome(n_atoms: int, k: int, spec: RotationSpec) -> IdealOutcome:
+    """Bob's spin averages when the resource is exactly spin-EPR.
+
+    Outcomes k >= N/2 prepare the rotated Fock state |k> at (theta, phi);
+    outcomes k < N/2 prepare it at (theta, phi + pi), which carries the
+    same transverse spin averages with <S^z> sign-flipped.  Both have
+    Bloch length |2k - N|, so the averages are returned in closed form.
+    """
+    if not 0 <= k <= n_atoms:
+        raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
+    amp = abs(2 * k - n_atoms)
+    spins = (
+        amp * math.sin(spec.theta) * math.cos(spec.phi),
+        amp * math.sin(spec.theta) * math.sin(spec.phi),
+        (2 * k - n_atoms) * math.cos(spec.theta),
+    )
+    return IdealOutcome(k, spins)
+
+
+def error_k(outcome, ideal: IdealOutcome, n_atoms: int) -> float:
+    """Bloch-sphere distance (1/2N) |<S>_actual - <S>_ideal|, in [0, 1].
+
+    ``outcome`` is any branch record with ``k``, ``defined`` and
+    ``bob_spins``.
+    """
+    if outcome.k != ideal.k:
+        raise DomainError(
+            f"outcome (k={outcome.k}) and ideal (k={ideal.k}) must share k"
+        )
+    if not outcome.defined:
+        raise UndefinedOutcomeError(
+            f"outcome k={outcome.k} has zero probability; its error is undefined"
+        )
+    diff = np.subtract(outcome.bob_spins, ideal.bob_spins)
+    return float(np.linalg.norm(diff) / (2.0 * n_atoms))
+
+
+@dataclass(frozen=True)
+class LoopBranch:
+    """One branch of :func:`per_branch_protocol`."""
+
+    k: int
+    probability: float
+    bob_state: EnsembleState | None
+    bob_spins: tuple[float, float, float] | None
+    error: float | None
+
+    @property
+    def defined(self) -> bool:
+        return self.bob_state is not None
+
+
+def per_branch_protocol(
+    resource: DiagonalPairState, spec: RotationSpec
+) -> list[LoopBranch]:
+    """The protocol branch by branch: one validated state, one spin call,
+    one ideal outcome and one error per defined outcome k."""
+    n = resource.n_atoms
+    alice = rotation_matrix(n, RotationSpec(spec.theta, math.pi - spec.phi))
+    branch = resource.psi[:, None] * np.conj(alice)
+    kk = np.arange(n + 1)
+    corrected = kk < n / 2
+    branch[:, corrected] *= np.exp(-1j * (2 * kk - n) * math.pi / 2.0)[:, None]
+    probs = np.sum(np.abs(branch) ** 2, axis=0)
+    out = []
+    for k in range(n + 1):
+        p = float(probs[k])
+        if p < 1e-14:
+            out.append(LoopBranch(k, 0.0, None, None, None))
+            continue
+        state = EnsembleState(n, branch[:, k] / math.sqrt(p))
+        record = LoopBranch(k, p, state, spin_expectations(state), None)
+        error = error_k(record, ideal_outcome(n, k, spec), n)
+        out.append(LoopBranch(k, p, state, record.bob_spins, error))
+    return out
+
+
+def loop_average_error(branches: list[LoopBranch]) -> float:
+    """Probability-weighted mean of the per-branch errors."""
+    total = 0.0
+    for b in branches:
+        if b.defined:
+            total += b.probability * b.error
+    return total
+
+
+def loop_postselected_error(
+    branches: list[LoopBranch], k_cut: int
+) -> tuple[float, float]:
+    """(error over k <= k_cut or k >= N - k_cut, kept probability)."""
+    n = len(branches) - 1
+    keep_p = 0.0
+    weighted = 0.0
+    for b in branches:
+        if not (b.k <= k_cut or b.k >= n - k_cut):
+            continue
+        keep_p += b.probability
+        if b.defined:
+            weighted += b.probability * b.error
+    return weighted / keep_p, keep_p
+
+
+# --- single-column rotation helpers used only by tests -----------------------
+
+
+def y_rotation_column(n_atoms: int, k: int, theta: float) -> np.ndarray:
+    """Column k of ``y_rotation_matrix`` without building the matrix."""
+    if not 0 <= k <= n_atoms:
+        raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
+    kk = np.arange(n_atoms + 1)
+    return _y_rotation_elements(n_atoms, kk, float(k), theta)
+
+
+def rotation_column(n_atoms: int, k: int, spec: RotationSpec) -> np.ndarray:
+    """Fock-basis amplitudes of U(theta, phi) |k> (column k of the unitary)."""
+    kp = np.arange(n_atoms + 1)
+    z_phase = np.exp(-1j * (2 * kp - n_atoms) * spec.phi / 2.0)
+    return z_phase * y_rotation_column(n_atoms, k, spec.theta)
+
+
+def rotated_fock_state(n_atoms: int, k: int, spec: RotationSpec) -> EnsembleState:
+    """The rotated Fock state U(theta, phi) |k> as a normalized state."""
+    return EnsembleState(n_atoms, rotation_column(n_atoms, k, spec))
+
+
+def state_norm(state: EnsembleState) -> float:
+    """Euclidean norm of a state's amplitude vector."""
+    return float(np.linalg.norm(state.amplitudes))

@@ -15,12 +15,11 @@ import time
 import numpy as np
 
 import spinrsp.cli as cli
-from spinrsp.collective_spin import RotationSpec
+from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.protocol import (
     FluctuationSpec,
     average_error,
     fluctuating_spin_averages,
-    ideal_outcome,
     outcome_probabilities,
     pair_conditional_spins,
     postselected_error,
@@ -82,7 +81,7 @@ def test_criterion_2_ideal_protocol_exactness():
                 spec = RotationSpec(float(theta), float(phi))
                 for outcome in run_protocol(resource, spec):
                     prob_devs.append(abs(outcome.probability - uniform))
-                    ideal = ideal_outcome(n, outcome.k, spec)
+                    ideal = oracles.ideal_outcome(n, outcome.k, spec)
                     diff = np.subtract(outcome.bob_spins, ideal.bob_spins)
                     spin_devs.append(np.max(np.abs(diff)))
     worst_spin = float(np.max(spin_devs))
@@ -123,7 +122,7 @@ def test_criterion_3_brute_force_equivalence():
                 if ref_state is None or not outcome.defined:
                     continue
                 state_devs.append(
-                    np.max(np.abs(outcome.bob_state.amplitudes - ref_state))
+                    np.max(np.abs(outcome.amplitudes - ref_state))
                 )
     worst_amp = float(np.max(amp_devs))
     worst_prob = float(np.max(prob_devs))
@@ -209,8 +208,9 @@ def test_criterion_6_error_trends():
     for n in range(10, 51, 10):
         tau, _ = find_optimal_time(n)
         resource = squeezing_run(n, tau).state
-        avg = average_error(resource, spec)
-        ps, _keep = postselected_error(resource, spec, 0)
+        outcomes = run_protocol(resource, spec)
+        avg = average_error(outcomes)
+        ps, _keep = postselected_error(outcomes, 0)
         averages.append(avg)
         postselected_below = postselected_below and ps < avg
         details.append(f"N={n}: {avg:.5f}/{ps:.5f}")
@@ -239,7 +239,8 @@ def test_criterion_7_wigner_normalization_and_negativity():
     for outcome in run_protocol(resource, spec):
         if not outcome.defined:
             continue
-        sphere = wigner_map(angular_state_from_ensemble(outcome.bob_state))
+        state = EnsembleState(n, outcome.amplitudes)
+        sphere = wigner_map(angular_state_from_ensemble(state))
         norm_devs.append(abs(sphere.integrate() - expected))
         if outcome.k in (n - 1, n):
             minima[outcome.k] = sphere.minimum()[0]

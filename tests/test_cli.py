@@ -10,14 +10,9 @@ import numpy as np
 import pytest
 
 import spinrsp.cli as cli
-from spinrsp.collective_spin import RotationSpec
-from spinrsp.protocol import (
-    average_error,
-    error_k,
-    ideal_outcome,
-    postselected_error,
-    run_protocol,
-)
+import spinrsp.protocol as protocol
+from oracles import loop_average_error, loop_postselected_error, per_branch_protocol
+from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.squeezing import DiagonalPairState, squeezing_run
 
 
@@ -282,16 +277,14 @@ class TestPhiAsBobRotation:
         return squeezing_run(self.N, 0.15).state
 
     def point_rows(self, resource, theta, phi, k_sel):
-        spec = RotationSpec(theta, phi)
         rows = []
-        for o in run_protocol(resource, spec):
-            if k_sel is not None and o.k != k_sel:
+        for b in per_branch_protocol(resource, RotationSpec(theta, phi)):
+            if k_sel is not None and b.k != k_sel:
                 continue
-            if not o.defined:
-                rows.append((theta, phi, o.k, o.probability, None, None, None, None))
+            if not b.defined:
+                rows.append((theta, phi, b.k, b.probability, None, None, None, None))
                 continue
-            err = error_k(o, ideal_outcome(self.N, o.k, spec), self.N)
-            rows.append((theta, phi, o.k, o.probability, *o.bob_spins, err))
+            rows.append((theta, phi, b.k, b.probability, *b.bob_spins, b.error))
         return rows
 
     @staticmethod
@@ -322,13 +315,13 @@ class TestPhiAsBobRotation:
             rows = cli._error_rows(resource, theta, self.PHIS, k_cut)
             expected = []
             for phi in self.PHIS:
-                spec = RotationSpec(theta, phi)
-                avg = average_error(resource, spec)
+                loop = per_branch_protocol(resource, RotationSpec(theta, phi))
+                avg = loop_average_error(loop)
                 if k_cut is None:
                     expected.append((theta, phi, avg))
                 else:
                     expected.append(
-                        (theta, phi, avg, *postselected_error(resource, spec, k_cut))
+                        (theta, phi, avg, *loop_postselected_error(loop, k_cut))
                     )
             self.assert_rows_equal(rows, expected)
 
@@ -360,6 +353,44 @@ class TestPhiAsBobRotation:
             assert 0.0 <= float(row[2]) <= 1.0
             assert 0.0 <= float(row[3]) <= 1.0
             assert 0.0 < float(row[4]) <= 1.0
+
+
+class TestOnePassPerTheta:
+    """Every sweep row of one polar angle comes from one protocol run, and
+    the branches are array columns rather than validated states."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name, *owners):
+        """Wrap attribute ``name`` of every owner (the defining module and
+        its importers) with one shared counter."""
+        calls = []
+        inner = getattr(owners[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_error_sweep_runs_protocol_once_per_theta(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, "run_protocol", protocol, cli)
+        assert run_main(
+            "error-sweep", "--n", "20", "--k-cut", "0", "--theta-nodes", "17",
+            "--phi-nodes", "17", "--out", str(tmp_path / "es.csv"),
+        ) == 0
+        assert len(calls) == 17
+
+    def test_spin_sweep_row_builds_no_states(self, tmp_path, monkeypatch):
+        states = self.count_calls(monkeypatch, "__post_init__", EnsembleState)
+        runs = self.count_calls(monkeypatch, "run_protocol", protocol, cli)
+        assert run_main(
+            "spin-sweep", "--n", "200", "--tau", "0.01", "--theta", "pi:0.3",
+            "--phi-nodes", "2", "--out", str(tmp_path / "ss.csv"),
+        ) == 0
+        assert len(runs) == 1
+        assert states == []
 
 
 class TestManifest:

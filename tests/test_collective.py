@@ -1,6 +1,5 @@
 """Collective spin states, operators, and rotations."""
 
-import json
 import math
 
 import numpy as np
@@ -12,12 +11,13 @@ from oracles import (
     build_spin_operators,
     expm_rotation,
     qubit_collective_operators,
+    rotated_fock_state,
+    rotation_column,
+    state_norm,
 )
 from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
-    rotated_fock_state,
-    rotation_column,
     rotation_log_column,
     rotation_matrix,
     spin_expectations,
@@ -49,17 +49,11 @@ class TestEnsembleState:
 
     def test_unnormalized_flag_allows_any_norm(self):
         state = EnsembleState(1, np.array([2.0, 0.0]), normalized=False)
-        assert state.norm() == pytest.approx(2.0)
+        assert state_norm(state) == pytest.approx(2.0)
 
-    def test_json_round_trip(self):
-        state = rotated_fock_state(4, 3, RotationSpec(1.0, 2.0))
-        blob = json.dumps(state.to_json_dict())
-        loaded = EnsembleState.from_json_dict(json.loads(blob))
-        assert loaded.n_atoms == 4
-        np.testing.assert_allclose(loaded.amplitudes, state.amplitudes, atol=1e-15)
-
-    def test_json_keys(self):
-        assert set(unit_state(2, 1).to_json_dict()) == {"n", "re", "im"}
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(DomainError):
+            EnsembleState(2, np.array([np.nan, 0.0, 0.0]))
 
     def test_amplitudes_read_only(self):
         state = unit_state(2, 0)
@@ -230,7 +224,7 @@ class TestRotatedFockState:
     @pytest.mark.parametrize("n,k", [(1, 0), (4, 2), (9, 7)])
     def test_normalized(self, n, k):
         state = rotated_fock_state(n, k, RotationSpec(1.9, 0.4))
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert state_norm(state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k", [(2, 0), (5, 5), (8, 3), (11, 6)])
     def test_bloch_vector(self, n, k):
@@ -277,6 +271,40 @@ class TestApplyOperatorAndExpectations:
         zero = EnsembleState(2, np.zeros(3), normalized=False)
         with pytest.raises(DegenerateStateError):
             spin_expectations(zero)
+
+    def test_nan_state_rejected(self):
+        nan = EnsembleState(2, np.array([np.nan, 0.0, 0.0]), normalized=False)
+        with pytest.raises(DegenerateStateError):
+            spin_expectations(nan)
+
+    def test_zero_or_nan_column_rejected(self):
+        cols = np.zeros((3, 2), dtype=complex)
+        cols[2, 0] = 1.0
+        with pytest.raises(DegenerateStateError):
+            spin_expectations(cols)
+        cols[0, 1] = np.nan
+        with pytest.raises(DegenerateStateError):
+            spin_expectations(cols)
+
+    def test_columns_match_single_states(self):
+        n = 9
+        ops = build_spin_operators(n)
+        cols = np.stack(
+            [rotation_column(n, k, RotationSpec(0.3 * k, 1.7 - k)) for k in range(n + 1)],
+            axis=1,
+        )
+        cols[:, 4] *= 2.5  # columns need not be normalized
+        spins = spin_expectations(cols)
+        assert spins.shape == (n + 1, 3)
+        for j in range(n + 1):
+            psi = cols[:, j]
+            norm2 = float(np.vdot(psi, psi).real)
+            dense = [
+                float((psi.conj() @ op @ psi).real) / norm2
+                for op in (ops.sx, ops.sy, ops.sz)
+            ]
+            np.testing.assert_allclose(spins[j], dense, atol=1e-12)
+            np.testing.assert_allclose(spins[j], spin_expectations(psi), atol=1e-12)
 
     def test_expectations_match_dense_operators(self):
         n = 7

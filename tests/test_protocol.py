@@ -5,25 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_pair_spins, brute_force_protocol, mean_outcome
+import spinrsp.protocol
+from oracles import (
+    brute_force_pair_spins,
+    brute_force_protocol,
+    error_k,
+    ideal_outcome,
+    loop_average_error,
+    loop_postselected_error,
+    mean_outcome,
+    per_branch_protocol,
+    rotated_fock_state,
+)
 from spinrsp.collective_spin import (
     RotationSpec,
-    rotated_fock_state,
+    rotation_matrix,
     y_rotation_matrix,
 )
 from spinrsp.errors import (
     ContractViolationError,
     DomainError,
     EmptyPostSelectionError,
+    NumericalError,
     UndefinedOutcomeError,
 )
 from spinrsp.protocol import (
     FluctuationSpec,
     ProtocolOutcome,
     average_error,
-    error_k,
     fluctuating_spin_averages,
-    ideal_outcome,
     outcome_probabilities,
     pair_conditional_spins,
     postselected_error,
@@ -88,13 +98,14 @@ class TestRunProtocol:
                     np.testing.assert_allclose(
                         o.bob_spins, ideal.bob_spins, atol=1e-9
                     )
+                    assert o.error < 1e-9
                     if 2 * o.k == n:
                         assert np.linalg.norm(o.bob_spins) < 1e-9
                     else:
                         overlap = abs(
                             np.vdot(
                                 ideal_state(n, o.k, spec).amplitudes,
-                                o.bob_state.amplitudes,
+                                o.amplitudes,
                             )
                         ) ** 2
                         assert overlap > 1.0 - 1e-9
@@ -106,10 +117,55 @@ class TestRunProtocol:
         assert outcomes[n].probability == pytest.approx(1.0, abs=1e-12)
         for o in outcomes[:n]:
             assert o.probability == 0.0
-            assert o.bob_state is None
+            assert o.amplitudes is None
             assert o.bob_spins is None
+            assert o.error is None
             assert not o.defined
             assert o.correction_applied == (o.k < n / 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 20, 57])
+    def test_matches_per_branch_oracle(self, n):
+        # The array pass against the branch-by-branch loop: one validated
+        # state, one spin call, one ideal outcome and one error per branch.
+        for resource in (epr_minus(n), squeezed_resource(n, 0.12)):
+            for theta in (0.0, 0.4, 1.1, math.pi, 4.0, -0.7, 3.0):
+                for phi in (0.0, 2.3):
+                    spec = RotationSpec(theta, phi)
+                    outcomes = run_protocol(resource, spec)
+                    loop = per_branch_protocol(resource, spec)
+                    assert [o.defined for o in outcomes] == [b.defined for b in loop]
+                    for o, b in zip(outcomes, loop):
+                        assert o.k == b.k
+                        assert abs(o.probability - b.probability) < 1e-12
+                        if not b.defined:
+                            continue
+                        np.testing.assert_allclose(
+                            o.amplitudes, b.bob_state.amplitudes, rtol=0, atol=1e-12
+                        )
+                        np.testing.assert_allclose(
+                            o.bob_spins, b.bob_spins, rtol=0, atol=1e-12
+                        )
+                        assert abs(o.error - b.error) < 1e-12
+                    assert abs(average_error(outcomes) - loop_average_error(loop)) < 1e-12
+                    for got, ref in zip(
+                        postselected_error(outcomes, 0), loop_postselected_error(loop, 0)
+                    ):
+                        assert abs(got - ref) < 1e-12
+
+    def test_amplitudes_read_only(self):
+        outcome = run_protocol(squeezed_resource(4, 0.2), RotationSpec(0.7, 0.3))[4]
+        with pytest.raises(ValueError):
+            outcome.amplitudes[0] = 0.5
+
+    def test_nan_branch_rejected(self, monkeypatch):
+        def poisoned(n_atoms, spec):
+            u = rotation_matrix(n_atoms, spec)
+            u[1, 2] = np.nan
+            return u
+
+        monkeypatch.setattr(spinrsp.protocol, "rotation_matrix", poisoned)
+        with pytest.raises(NumericalError):
+            run_protocol(squeezed_resource(4, 0.2), RotationSpec(0.7, 0.3))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_brute_force_joint_space(self, n):
@@ -123,9 +179,7 @@ class TestRunProtocol:
                 if s_ref is None:
                     assert not o.defined
                 else:
-                    np.testing.assert_allclose(
-                        o.bob_state.amplitudes, s_ref, atol=1e-10
-                    )
+                    np.testing.assert_allclose(o.amplitudes, s_ref, atol=1e-10)
 
     def test_phi_independence_of_probabilities(self):
         n = 8
@@ -182,7 +236,7 @@ class TestRunProtocol:
                     norm = np.linalg.norm(closed)
                     assert norm**2 == pytest.approx(o.probability, abs=1e-12)
                     closed /= norm
-                    actual = o.bob_state.amplitudes
+                    actual = o.amplitudes
                     pivot = int(np.argmax(np.abs(actual)))
                     phase = closed[pivot] / actual[pivot]
                     phase /= abs(phase)
@@ -296,6 +350,7 @@ class TestErrorMetrics:
     def test_zero_for_matching_outcome(self):
         n, spec = 8, RotationSpec(0.9, 1.4)
         outcome = run_protocol(epr_minus(n), spec)[6]
+        assert outcome.error < 1e-12
         assert error_k(outcome, ideal_outcome(n, 6, spec), n) < 1e-12
 
     def test_antipodal_maximum(self):
@@ -305,8 +360,9 @@ class TestErrorMetrics:
         flipped = ProtocolOutcome(
             k=n,
             probability=1.0,
-            bob_state=rotated_fock_state(n, n, spec),
+            amplitudes=rotated_fock_state(n, n, spec).amplitudes,
             bob_spins=(0.0, 0.0, -float(n)),
+            error=None,
             correction_applied=False,
         )
         assert error_k(flipped, ideal, n) == pytest.approx(1.0, abs=1e-12)
@@ -318,7 +374,7 @@ class TestErrorMetrics:
             error_k(outcome, ideal_outcome(n, 3, spec), n)
 
     def test_undefined_outcome_rejected(self):
-        undefined = ProtocolOutcome(0, 0.0, None, None, True)
+        undefined = ProtocolOutcome(0, 0.0, None, None, None, True)
         with pytest.raises(UndefinedOutcomeError):
             error_k(undefined, ideal_outcome(4, 0, RotationSpec(0.1, 0.0)), 4)
 
@@ -326,19 +382,27 @@ class TestErrorMetrics:
         n = 20
         spec = RotationSpec(0.2, 0.0)
         outcome = run_protocol(squeezed_resource(n, TAU_OPT_20), spec)[n]
-        assert error_k(outcome, ideal_outcome(n, n, spec), n) < 0.05
+        assert outcome.error < 0.05
+        assert outcome.error == pytest.approx(
+            error_k(outcome, ideal_outcome(n, n, spec), n), abs=1e-12
+        )
 
 
 class TestAverageError:
     def test_epr_is_exact(self):
         n = 10
         for theta, phi in ((0.0, 0.0), (0.8, 1.2), (math.pi / 2, 4.0), (2.9, 0.3)):
-            assert average_error(epr_minus(n), RotationSpec(theta, phi)) < 1e-9
+            outcomes = run_protocol(epr_minus(n), RotationSpec(theta, phi))
+            assert average_error(outcomes) < 1e-9
 
     def test_decreases_with_ensemble_size(self):
         spec = RotationSpec(math.pi / 2, 0.0)
-        e20 = average_error(squeezed_resource(20, find_optimal_time(20)[0]), spec)
-        e50 = average_error(squeezed_resource(50, find_optimal_time(50)[0]), spec)
+        e20 = average_error(
+            run_protocol(squeezed_resource(20, find_optimal_time(20)[0]), spec)
+        )
+        e50 = average_error(
+            run_protocol(squeezed_resource(50, find_optimal_time(50)[0]), spec)
+        )
         assert e50 < e20
 
     def test_bounded_on_grid(self):
@@ -346,49 +410,50 @@ class TestAverageError:
         resource = squeezed_resource(n, find_optimal_time(n)[0])
         for theta in np.linspace(0.0, math.pi, 7):
             for phi in np.linspace(0.0, 2.0 * math.pi, 5):
-                e = average_error(resource, RotationSpec(float(theta), float(phi)))
+                spec = RotationSpec(float(theta), float(phi))
+                e = average_error(run_protocol(resource, spec))
                 assert 0.0 <= e <= 1.0
 
 
 class TestPostselectedError:
     def test_keep_all_matches_average(self):
         n = 5
-        resource = squeezed_resource(n, 0.25)
-        spec = RotationSpec(1.0, 0.6)
-        error, keep_p = postselected_error(resource, spec, 2)
+        outcomes = run_protocol(squeezed_resource(n, 0.25), RotationSpec(1.0, 0.6))
+        error, keep_p = postselected_error(outcomes, 2)
         assert keep_p == pytest.approx(1.0, abs=1e-10)
-        assert error == pytest.approx(average_error(resource, spec), abs=1e-12)
+        assert error == pytest.approx(average_error(outcomes), abs=1e-12)
 
     def test_improves_error_at_equator(self):
         spec = RotationSpec(math.pi / 2, 0.0)
         for n in (10, 20):
             resource = squeezed_resource(n, find_optimal_time(n)[0])
-            error, keep_p = postselected_error(resource, spec, 0)
-            assert error < average_error(resource, spec)
+            outcomes = run_protocol(resource, spec)
+            error, keep_p = postselected_error(outcomes, 0)
+            assert error < average_error(outcomes)
             assert 0.0 < keep_p < 1.0
 
     def test_keep_probability_grows_with_cut(self):
         n = 20
         resource = squeezed_resource(n, TAU_OPT_20)
-        spec = RotationSpec(math.pi / 2, 0.0)
-        keeps = [postselected_error(resource, spec, c)[1] for c in range(10)]
+        outcomes = run_protocol(resource, RotationSpec(math.pi / 2, 0.0))
+        keeps = [postselected_error(outcomes, c)[1] for c in range(10)]
         assert all(a < b for a, b in zip(keeps, keeps[1:]))
         assert all(p <= 1.0 + 1e-12 for p in keeps)
 
     def test_cut_domain_validation(self):
-        resource = epr_minus(10)
-        spec = RotationSpec(0.4, 0.0)
+        outcomes = run_protocol(epr_minus(10), RotationSpec(0.4, 0.0))
         with pytest.raises(DomainError):
-            postselected_error(resource, spec, -1)
+            postselected_error(outcomes, -1)
         with pytest.raises(DomainError):
-            postselected_error(resource, spec, 5)
+            postselected_error(outcomes, 5)
 
     def test_empty_selection(self):
         resource = DiagonalPairState(
             2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
         )
+        outcomes = run_protocol(resource, RotationSpec(0.0, 0.0))
         with pytest.raises(EmptyPostSelectionError):
-            postselected_error(resource, RotationSpec(0.0, 0.0), 0)
+            postselected_error(outcomes, 0)
 
 
 class TestPairConditionalSpins:

@@ -97,6 +97,16 @@ class TestEvolution:
         np.testing.assert_allclose(diag, evolve_2a2s(n, tau).psi, atol=1e-10)
 
 
+class TestDiagonalPairState:
+    def test_norm_validation(self):
+        with pytest.raises(DomainError):
+            DiagonalPairState(2, np.array([1.0, 1.0, 0.0]))
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(DomainError):
+            DiagonalPairState(2, np.array([np.nan, 0.0, 0.0]))
+
+
 class TestFramePhases:
     def test_center_entry_unchanged(self):
         state = evolve_2a2s(4, 0.3)

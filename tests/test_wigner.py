@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import wigner_3j_from_cg
-from spinrsp.collective_spin import EnsembleState, RotationSpec, rotated_fock_state
+from oracles import rotated_fock_state, wigner_3j_from_cg
+from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.errors import DomainError
 from spinrsp.protocol import run_protocol
 from spinrsp.squeezing import epr_minus, squeezing_run
@@ -163,6 +163,21 @@ class TestAngularState:
         with pytest.raises(DomainError):
             AngularState(0.5, rho)
 
+    def test_nan_trace_rejected(self):
+        with pytest.raises(DomainError):
+            AngularState(0.5, np.array([[np.nan, 0.0], [0.0, np.nan]]))
+
+    def test_nan_coherence_rejected(self):
+        with pytest.raises(DomainError):
+            AngularState(0.5, np.array([[1.0, np.nan], [np.nan, 0.0]]))
+
+    def test_nan_spectrum_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda rho: np.full(len(rho), np.nan)
+        )
+        with pytest.raises(DomainError):
+            AngularState(0.5, np.eye(2) / 2.0)
+
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             AngularState(1.0, np.eye(2) / 2.0)
@@ -249,7 +264,8 @@ class TestWignerMap:
         for outcome in run_protocol(run.state, RotationSpec(0.5, 0.0)):
             if not outcome.defined:
                 continue
-            sphere = wigner_map(angular_state_from_ensemble(outcome.bob_state))
+            state = EnsembleState(n, outcome.amplitudes)
+            sphere = wigner_map(angular_state_from_ensemble(state))
             assert sphere.integrate() == pytest.approx(
                 math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
             )
@@ -285,9 +301,11 @@ class TestWignerMap:
         run = squeezing_run(n, 0.2)
         outcomes = run_protocol(run.state, RotationSpec(0.5, 0.0))
         near_top = wigner_map(
-            angular_state_from_ensemble(outcomes[n - 1].bob_state)
+            angular_state_from_ensemble(EnsembleState(n, outcomes[n - 1].amplitudes))
         )
-        top = wigner_map(angular_state_from_ensemble(outcomes[n].bob_state))
+        top = wigner_map(
+            angular_state_from_ensemble(EnsembleState(n, outcomes[n].amplitudes))
+        )
         assert near_top.minimum()[0] < 0.0
         assert top.minimum()[0] > near_top.minimum()[0]
 
