@@ -18,6 +18,10 @@ also be supplied through ``--config FILE`` in a flat ``key=value`` format;
 explicit flags win.  Angles accept plain radians or multiples of pi with a
 ``pi:`` prefix (``--theta pi:0.5``).  Exit codes: 0 success, 2 usage
 error, 3 I/O error, 4 numerical/domain failure.
+
+Each subcommand's parameters form one table of :class:`Param` entries.  The
+table builds the subcommand's options and help, names its config-file keys,
+parses and checks their values, and gives the manifest its echo.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import sys
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,18 +59,7 @@ from .squeezing import (
 )
 from .wigner import angular_state_from_ensemble, wigner_map
 
-__all__ = ["ExperimentConfig", "RunManifest", "parse_config", "execute", "main"]
-
-SUBCOMMANDS = (
-    "optimal-time",
-    "squeeze",
-    "protocol",
-    "prob-dist",
-    "spin-sweep",
-    "wigner-map",
-    "error-sweep",
-    "fluctuation",
-)
+__all__ = ["ExperimentConfig", "parse_config", "execute", "main"]
 
 
 class UsageError(Exception):
@@ -75,25 +68,28 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved run: subcommand, typed parameters, output target."""
+    """A fully resolved run: the subcommand and its typed parameters, keyed
+    by flag name with underscores (``out`` and ``format`` included)."""
 
     subcommand: str
     params: Mapping[str, object]
-    output_path: str
-    fmt: str
 
+    @property
+    def output_path(self) -> str:
+        return self.params["out"]
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility sidecar written next to every output file."""
-
-    config: Mapping[str, object]
-    version: str
-    wall_time_s: float
-    checksums: Mapping[str, str]
+    @property
+    def fmt(self) -> str:
+        return self.params["format"]
 
 
 # --- value parsing --------------------------------------------------------
+
+
+def _finite(value: float, text: str, name: str) -> float:
+    if not math.isfinite(value):
+        raise UsageError(f"{name}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_angle(text: str, name: str) -> float:
@@ -102,9 +98,10 @@ def _parse_angle(text: str, name: str) -> float:
     if raw.startswith("pi:"):
         raw, scale = raw[3:], math.pi
     try:
-        return float(raw) * scale
+        value = float(raw) * scale
     except ValueError:
         raise UsageError(f"{name}: expected a number or pi:<number>, got {text!r}")
+    return _finite(value, text, name)
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -116,9 +113,10 @@ def _parse_int(text: str, name: str) -> int:
 
 def _parse_float(text: str, name: str) -> float:
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
         raise UsageError(f"{name}: expected a number, got {text!r}")
+    return _finite(value, text, name)
 
 
 def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
@@ -143,6 +141,17 @@ def _parse_rule(text: str, name: str) -> str | int:
     return value
 
 
+def _parse_choice(*options: str) -> Callable[[str, str], str]:
+    def parse(text: str, name: str) -> str:
+        if text.strip() not in options:
+            raise UsageError(
+                f"{name}: expected {' or '.join(options)}, got {text.strip()!r}"
+            )
+        return text.strip()
+
+    return parse
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -159,36 +168,119 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class _Resolver:
-    """Merges flag values over config-file values with strict key checking."""
+# --- parameter tables -----------------------------------------------------
 
-    def __init__(self, ns: argparse.Namespace, config: dict[str, str]):
-        self._ns = ns
-        self._config = dict(config)
-        self._used: set[str] = set()
+_REQUIRED = object()
 
-    def get(self, key: str, parse: Callable[[str, str], object], default=None):
-        self._used.add(key)
-        flag_value = getattr(self._ns, key.replace("-", "_"), None)
-        if flag_value is not None:
-            return parse(flag_value, f"--{key}")
-        if key in self._config:
-            return parse(self._config[key], f"config key {key!r}")
-        return default
 
-    def require(self, key: str, parse: Callable[[str, str], object]):
-        value = self.get(key, parse)
-        if value is None:
-            raise UsageError(f"missing required field: --{key}")
-        return value
+class Param(NamedTuple):
+    """One parameter: flag ``--<key>`` and config-file key ``<key>``.
 
-    def finish(self) -> None:
-        extras = set(self._config) - self._used
-        if extras:
-            raise UsageError(
-                "config keys not accepted by this subcommand: "
-                + ", ".join(sorted(extras))
-            )
+    ``default`` is CLI text (parsed like a given value, and shown in the
+    help), None for unset, ``_REQUIRED``, or a function of the values
+    resolved before this entry that returns a typed value or ``_REQUIRED``
+    (its help text says what it computes).  ``check`` returns what is
+    wrong with a value, or None.
+    """
+
+    key: str
+    parse: Callable[[str, str], object]
+    default: object
+    help: str
+    check: Callable[[object], str | None] | None = None
+
+
+def _at_least_one_atom(n: int) -> str | None:
+    return None if n >= 1 else f"need at least one atom, got {n}"
+
+
+def _non_negative(x: float) -> str | None:
+    return None if x >= 0 else f"expected >= 0, got {x}"
+
+
+def _positive(x: float) -> str | None:
+    return None if x > 0 else f"expected > 0, got {x}"
+
+
+def _optimal_tau(n: int) -> float:
+    """Default squeezing time: the EPR-fidelity optimum for N atoms."""
+    return float(find_optimal_time(n)[0])
+
+
+_N = Param("n", _parse_int, _REQUIRED, "number of atoms per ensemble",
+           _at_least_one_atom)
+_TAU = Param("tau", _parse_float, lambda v: _optimal_tau(v["n"]),
+             "squeezing time (default: optimal time for N)", _non_negative)
+_THETA = Param("theta", _parse_angle, _REQUIRED,
+               "target polar angle (radians or pi:<x>)")
+_PHI = Param("phi", _parse_angle, "0", "target azimuth (radians or pi:<x>)")
+_THETA_PIN = Param("theta", _parse_angle, None,
+                   "pin the polar angle instead of sweeping")
+_PHI_PIN = Param("phi", _parse_angle, None, "pin the azimuth instead of sweeping")
+_THETA_NODES = Param("theta-nodes", _parse_int, "61", "polar grid size",
+                     lambda n: None if n >= 2 else f"need at least 2 nodes, got {n}")
+_PHI_NODES = _THETA_NODES._replace(key="phi-nodes", help="azimuthal grid size")
+
+
+class _Command(NamedTuple):
+    help: str
+    params: tuple[Param, ...]
+    run: Callable[[Mapping[str, object]], tuple[str, dict]]
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help: str, *params: Param, formats=("csv", "json")):
+    """Register a runner and its table; ``--out`` and ``--format`` (first
+    format the default) close every table."""
+    out = Param("out", lambda text, _name: text, _REQUIRED, "output file path")
+    fmt = Param("format", _parse_choice(*formats), formats[0],
+                "output format: " + " or ".join(formats))
+
+    def register(run):
+        _COMMANDS[name] = _Command(help, (*params, out, fmt), run)
+        return run
+
+    return register
+
+
+def _help(p: Param) -> str:
+    if p.default is _REQUIRED:
+        text = f"{p.help} (required)"
+    elif isinstance(p.default, str):
+        text = f"{p.help} (default {p.default})"
+    else:
+        text = p.help
+    return text.replace("%", "%%")
+
+
+def _resolve(ns: argparse.Namespace) -> ExperimentConfig:
+    """Merge flags over config-file values through the subcommand's table."""
+    table = _COMMANDS[ns.subcommand].params
+    file_values = _load_config_file(ns.config) if ns.config else {}
+    unknown = set(file_values) - {p.key for p in table}
+    if unknown:
+        raise UsageError(
+            "config keys not accepted by this subcommand: "
+            + ", ".join(sorted(unknown))
+        )
+    values: dict[str, object] = {}
+    for p in table:
+        dest = p.key.replace("-", "_")
+        name, text = f"--{p.key}", getattr(ns, dest)
+        if text is None and p.key in file_values:
+            name, text = f"config key {p.key!r}", file_values[p.key]
+        if text is None:
+            text = p.default(values) if callable(p.default) else p.default
+            if text is _REQUIRED:
+                raise UsageError(f"missing required field: --{p.key}")
+        value = p.parse(text, name) if isinstance(text, str) else text
+        complaint = None if value is None or p.check is None else p.check(value)
+        if complaint:
+            raise UsageError(f"{name}: {complaint}")
+        values[dest] = value
+    return ExperimentConfig(ns.subcommand, values)
 
 
 # --- serialization --------------------------------------------------------
@@ -221,6 +313,10 @@ def _json_ready(value):
     return value
 
 
+def _json_text(payload: Mapping[str, object]) -> str:
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+
+
 def _render(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
     if not rows:
         raise DomainError("no records to write")
@@ -244,52 +340,32 @@ def write_output(text: str, path: str) -> dict[str, str]:
     return {path: hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
-def _theta_grid(nodes: int) -> np.ndarray:
-    return np.linspace(0.0, math.pi, nodes)
+def _thetas(p: Mapping[str, object]) -> list[float]:
+    """The pinned polar angle, or the grid of ``theta_nodes`` over [0, pi]."""
+    if p.get("theta") is not None:
+        return [p["theta"]]
+    return list(np.linspace(0.0, math.pi, p["theta_nodes"]))
 
 
-def _phi_grid(nodes: int) -> np.ndarray:
-    return np.arange(nodes) * (2.0 * math.pi / nodes)
+def _phis(p: Mapping[str, object]) -> list[float]:
+    """The pinned azimuth, or the grid of ``phi_nodes`` over [0, 2 pi)."""
+    if p["phi"] is not None:
+        return [p["phi"]]
+    nodes = p["phi_nodes"]
+    return list(np.arange(nodes) * (2.0 * math.pi / nodes))
 
 
-def _validate_nodes(n: int, name: str) -> int:
-    if n < 2:
-        raise UsageError(f"{name}: need at least 2 nodes, got {n}")
-    return n
+# --- subcommand runners ---------------------------------------------------
+#
+# A runner takes the resolved parameters and returns the output text plus
+# the values its manifest records beyond them.
+
+_BRANCH_HEADER = ("theta", "phi", "k", "p", "sx", "sy", "sz", "e")
 
 
-# --- subcommand resolvers and runners -------------------------------------
-
-
-def _resolve_common(res: _Resolver, subcommand: str) -> tuple[str, str]:
-    out = res.require("out", lambda v, _n: v)
-    default_fmt = "json" if subcommand in _JSON_ONLY else "csv"
-    fmt = res.get("format", lambda v, _n: v.strip(), default_fmt)
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"--format: expected csv or json, got {fmt!r}")
-    return str(out), str(fmt)
-
-
-def _resolve_n(res: _Resolver) -> int:
-    n = res.require("n", _parse_int)
-    if n < 1:
-        raise UsageError(f"--n: need at least one atom, got {n}")
-    return n
-
-
-def _resolve_tau(res: _Resolver, n: int) -> float:
-    tau = res.get("tau", _parse_float)
-    if tau is None:
-        tau, _ = find_optimal_time(n)
-    elif tau < 0:
-        raise UsageError(f"--tau: expected >= 0, got {tau}")
-    return float(tau)
-
-
-def _resource_state(n: int, tau: float, kind: str):
-    if kind == "epr":
-        return epr_minus(n)
-    return squeezing_run(n, tau).state
+def _check_outcome(k: int, n: int) -> None:
+    if not 0 <= k <= n:
+        raise UsageError(f"--k: expected an outcome in [0, {n}], got {k}")
 
 
 def _branch_rows(resource, theta: float, phis: Sequence[float], k_sel):
@@ -320,149 +396,14 @@ def _branch_rows(resource, theta: float, phis: Sequence[float], k_sel):
     return rows
 
 
-def _run_optimal_time(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    n = _resolve_n(res)
-    res.finish()
-    if fmt != "json":
-        raise UsageError("optimal-time writes JSON only; use --format json")
-    tau_opt, fidelity = find_optimal_time(n)
-    payload = _json_ready({"n": n, "tau_opt": tau_opt, "fidelity": fidelity})
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return text, {"n": n, "tau_opt": tau_opt, "fidelity": fidelity}
-
-
-def _run_squeeze(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    n = _resolve_n(res)
-    tau = _resolve_tau(res, n)
-    res.finish()
-    if fmt != "json":
-        raise UsageError("squeeze writes JSON only; use --format json")
-    run = squeezing_run(n, tau)
-    variances = pair_variances(run)
-    epr_fidelity = fidelity(run.state, epr_minus(n))
-    payload = _json_ready(
-        {
-            "n": n,
-            "tau": tau,
-            "fidelity": epr_fidelity,
-            "var_sum_x": variances.var_xp,
-            "var_diff_y": variances.var_ym,
-            "var_diff_z": variances.var_zm,
-            "psi_re": run.state.psi.real,
-            "psi_im": run.state.psi.imag,
-        }
-    )
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return text, {"n": n, "tau": tau}
-
-
-def _run_protocol_cmd(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    n = _resolve_n(res)
-    tau = _resolve_tau(res, n)
-    theta = res.require("theta", _parse_angle)
-    phi = res.get("phi", _parse_angle, 0.0)
-    res.finish()
-    resource = _resource_state(n, tau, "2a2s")
-    rows = _branch_rows(resource, float(theta), [float(phi)], None)
-    header = ("theta", "phi", "k", "p", "sx", "sy", "sz", "e")
-    return _render(header, rows, fmt), {"n": n, "tau": tau, "theta": theta, "phi": phi}
-
-
-def _run_prob_dist(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    n = _resolve_n(res)
-    tau = _resolve_tau(res, n)
-    theta_pin = res.get("theta", _parse_angle)
-    nodes = _validate_nodes(res.get("theta-nodes", _parse_int, 61), "--theta-nodes")
-    res.finish()
-    resource = _resource_state(n, tau, "2a2s")
-    thetas = [float(theta_pin)] if theta_pin is not None else list(_theta_grid(nodes))
-    rows = [
-        (theta, k, float(p))
-        for theta in thetas
-        for k, p in enumerate(outcome_probabilities(resource, theta))
-    ]
-    header = ("theta", "k", "p")
-    params = {"n": n, "tau": tau, "theta": theta_pin, "theta_nodes": nodes}
-    return _render(header, rows, fmt), params
-
-
-def _run_spin_sweep(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    n = _resolve_n(res)
-    tau = _resolve_tau(res, n)
-    k_sel = res.get("k", _parse_int)
-    theta_pin = res.get("theta", _parse_angle)
-    phi_pin = res.get("phi", _parse_angle)
-    t_nodes = _validate_nodes(res.get("theta-nodes", _parse_int, 61), "--theta-nodes")
-    p_nodes = _validate_nodes(res.get("phi-nodes", _parse_int, 61), "--phi-nodes")
-    res.finish()
-    if k_sel is not None and not 0 <= k_sel <= n:
-        raise UsageError(f"--k: expected an outcome in [0, {n}], got {k_sel}")
-    resource = _resource_state(n, tau, "2a2s")
-    thetas = [float(theta_pin)] if theta_pin is not None else list(_theta_grid(t_nodes))
-    phis = [float(phi_pin)] if phi_pin is not None else list(_phi_grid(p_nodes))
-    rows = [
-        row for theta in thetas for row in _branch_rows(resource, theta, phis, k_sel)
-    ]
-    header = ("theta", "phi", "k", "p", "sx", "sy", "sz", "e")
-    params = {"n": n, "tau": tau, "k": k_sel, "theta": theta_pin, "phi": phi_pin}
-    return _render(header, rows, fmt), params
-
-
-def _run_wigner_map(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    n = _resolve_n(res)
-    tau = _resolve_tau(res, n)
-    k = res.get("k", _parse_int, n)
-    theta = res.require("theta", _parse_angle)
-    phi = res.get("phi", _parse_angle, 0.0)
-    resource_kind = res.get("resource", lambda v, _n: v.strip(), "2a2s")
-    t_nodes = res.get("theta-nodes", _parse_int)
-    p_nodes = res.get("phi-nodes", _parse_int)
-    res.finish()
-    if resource_kind not in ("2a2s", "epr"):
-        raise UsageError(f"--resource: expected 2a2s or epr, got {resource_kind!r}")
-    if not 0 <= k <= n:
-        raise UsageError(f"--k: expected an outcome in [0, {n}], got {k}")
-    if t_nodes is not None and t_nodes < 2 * n + 2:
-        raise UsageError(f"--theta-nodes: need at least {2 * n + 2} for N={n}")
-    if p_nodes is not None and p_nodes < 4 * n + 2:
-        raise UsageError(f"--phi-nodes: need at least {4 * n + 2} for N={n}")
-    resource = _resource_state(n, tau, resource_kind)
-    outcomes = run_protocol(resource, RotationSpec(float(theta), float(phi)))
-    branch = outcomes[k]
-    if not branch.defined:
-        raise UndefinedOutcomeError(
-            f"outcome k={k} has zero probability at this target; nothing to map"
-        )
-    state = EnsembleState(n, branch.amplitudes)
-    sphere = wigner_map(angular_state_from_ensemble(state), t_nodes, p_nodes)
-    rows = [
-        (float(sphere.theta[i]), float(sphere.phi[j]), float(sphere.values[i, j]))
-        for i in range(len(sphere.theta))
-        for j in range(len(sphere.phi))
-    ]
-    header = ("theta", "phi", "w")
-    params = {
-        "n": n,
-        "tau": tau,
-        "k": k,
-        "theta": theta,
-        "phi": phi,
-        "resource": resource_kind,
-        "theta_nodes": len(sphere.theta),
-        "phi_nodes": len(sphere.phi),
-    }
-    return _render(header, rows, fmt), params
-
-
-def _error_point(resource, theta, phi, k_cut):
-    """(average error, post-selected error, kept probability) at one target;
-    the last two are None without a cut."""
+def _error_point(resource, theta, phi, k_cut) -> tuple:
+    """(average error,) at one target, or with a cut (average error,
+    post-selected error, kept probability)."""
     outcomes = run_protocol(resource, RotationSpec(theta, phi))
     avg = average_error(outcomes)
     if k_cut is None:
-        return avg, None, None
-    ps_error, keep_p = postselected_error(outcomes, k_cut)
-    return avg, ps_error, keep_p
+        return (avg,)
+    return (avg, *postselected_error(outcomes, k_cut))
 
 
 def _error_rows(resource, theta: float, phis: Sequence[float], k_cut):
@@ -471,102 +412,178 @@ def _error_rows(resource, theta: float, phis: Sequence[float], k_cut):
     Like the branch probabilities, the errors do not depend on phi (see
     :func:`_branch_rows`), so they are computed once per polar angle.
     """
-    avg, ps, keep = _error_point(resource, theta, 0.0, k_cut)
-    values = (avg,) if k_cut is None else (avg, ps, keep)
+    values = _error_point(resource, theta, 0.0, k_cut)
     return [(theta, phi, *values) for phi in phis]
 
 
-def _run_error_sweep(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    n_list = res.get("n-list", _parse_int_list)
-    tau_flag = res.get("tau", _parse_float)
-    k_cut = res.get("k-cut", _parse_int)
-    theta_pin = res.get("theta", _parse_angle)
-    phi_pin = res.get("phi", _parse_angle)
-    t_nodes = _validate_nodes(res.get("theta-nodes", _parse_int, 61), "--theta-nodes")
-    p_nodes = _validate_nodes(res.get("phi-nodes", _parse_int, 61), "--phi-nodes")
-    if tau_flag is not None and tau_flag < 0:
-        raise UsageError(f"--tau: expected >= 0, got {tau_flag}")
+@_command("optimal-time", "best common squeezing time for N atoms", _N,
+          formats=("json",))
+def _run_optimal_time(p) -> tuple[str, dict]:
+    tau_opt, fid = find_optimal_time(p["n"])
+    result = {"tau_opt": tau_opt, "fidelity": fid}
+    return _json_text({"n": p["n"], **result}), result
 
-    if n_list is not None:
-        # Error versus ensemble size at one target direction.
-        res.get("n", _parse_int)  # tolerate but ignore a config-file n
-        res.finish()
-        for n in n_list:
-            if n < 1:
-                raise UsageError(f"--n-list: need at least one atom, got {n}")
-            if k_cut is not None and not 0 <= k_cut < n / 2:
-                raise UsageError(
-                    f"--k-cut: must lie in [0, N/2) for every N; "
-                    f"got k_cut={k_cut} with N={n}"
-                )
-        theta = float(theta_pin) if theta_pin is not None else math.pi / 2.0
-        phi = float(phi_pin) if phi_pin is not None else 0.0
 
-        def one_n(n: int):
-            tau = tau_flag if tau_flag is not None else find_optimal_time(n)[0]
-            resource = _resource_state(n, float(tau), "2a2s")
-            avg, ps, keep = _error_point(resource, theta, phi, k_cut)
-            return n, float(tau), avg, ps, keep
+@_command("squeeze", "evolved 2A2S resource state and its quality", _N, _TAU,
+          formats=("json",))
+def _run_squeeze(p) -> tuple[str, dict]:
+    n = p["n"]
+    run = squeezing_run(n, p["tau"])
+    variances = pair_variances(run)
+    payload = {
+        "n": n,
+        "tau": p["tau"],
+        "fidelity": fidelity(run.state, epr_minus(n)),
+        "var_sum_x": variances.var_xp,
+        "var_diff_y": variances.var_ym,
+        "var_diff_z": variances.var_zm,
+        "psi_re": run.state.psi.real,
+        "psi_im": run.state.psi.imag,
+    }
+    return _json_text(payload), {}
 
-        results = [one_n(n) for n in n_list]
-        if k_cut is None:
-            header = ("n", "theta", "phi", "e")
-            rows = [(n, theta, phi, avg) for n, _t, avg, _p, _k in results]
-        else:
-            header = ("n", "theta", "phi", "e", "e_ps", "keep_p")
-            rows = [
-                (n, theta, phi, avg, ps, keep) for n, _t, avg, ps, keep in results
-            ]
-        params = {
-            "n_list": list(n_list),
-            "tau_by_n": {str(n): t for n, t, *_ in results},
-            "k_cut": k_cut,
-            "theta": theta,
-            "phi": phi,
-        }
-        return _render(header, rows, fmt), params
 
-    n = _resolve_n(res)
-    res.finish()
-    if k_cut is not None and not 0 <= k_cut < n / 2:
-        raise UsageError(f"--k-cut: must lie in [0, N/2) = [0, {n / 2}), got {k_cut}")
-    tau = tau_flag if tau_flag is not None else find_optimal_time(n)[0]
-    resource = _resource_state(n, float(tau), "2a2s")
-    thetas = [float(theta_pin)] if theta_pin is not None else list(_theta_grid(t_nodes))
-    phis = [float(phi_pin)] if phi_pin is not None else list(_phi_grid(p_nodes))
+@_command("protocol", "all measurement branches at one target direction",
+          _N, _TAU, _THETA, _PHI)
+def _run_protocol_cmd(p) -> tuple[str, dict]:
+    resource = squeezing_run(p["n"], p["tau"]).state
+    rows = _branch_rows(resource, p["theta"], [p["phi"]], None)
+    return _render(_BRANCH_HEADER, rows, p["format"]), {}
+
+
+@_command("prob-dist", "outcome probabilities over a polar grid",
+          _N, _TAU, _THETA_PIN, _THETA_NODES)
+def _run_prob_dist(p) -> tuple[str, dict]:
+    resource = squeezing_run(p["n"], p["tau"]).state
     rows = [
-        row for theta in thetas for row in _error_rows(resource, theta, phis, k_cut)
+        (theta, k, float(prob))
+        for theta in _thetas(p)
+        for k, prob in enumerate(outcome_probabilities(resource, theta))
     ]
-    header = (
-        ("theta", "phi", "e") if k_cut is None else ("theta", "phi", "e", "e_ps", "keep_p")
+    return _render(("theta", "k", "p"), rows, p["format"]), {}
+
+
+@_command(
+    "spin-sweep", "conditional spin averages over a target grid", _N, _TAU,
+    Param("k", _parse_int, None, "restrict to one outcome (default: all)"),
+    _THETA_PIN, _PHI_PIN, _THETA_NODES, _PHI_NODES,
+)
+def _run_spin_sweep(p) -> tuple[str, dict]:
+    if p["k"] is not None:
+        _check_outcome(p["k"], p["n"])
+    resource = squeezing_run(p["n"], p["tau"]).state
+    phis = _phis(p)
+    rows = [
+        row for theta in _thetas(p)
+        for row in _branch_rows(resource, theta, phis, p["k"])
+    ]
+    return _render(_BRANCH_HEADER, rows, p["format"]), {}
+
+
+@_command(
+    "wigner-map", "Wigner function of one conditional state", _N, _TAU,
+    Param("k", _parse_int, lambda v: v["n"], "Alice's outcome (default N)"),
+    _THETA, _PHI,
+    Param("resource", _parse_choice("2a2s", "epr"), "2a2s",
+          "resource state: 2a2s or epr"),
+    Param("theta-nodes", _parse_int, None,
+          "polar quadrature nodes (default max(121, 2N+2))"),
+    Param("phi-nodes", _parse_int, None, "azimuthal nodes (default max(241, 4N+2))"),
+)
+def _run_wigner_map(p) -> tuple[str, dict]:
+    n, k = p["n"], p["k"]
+    _check_outcome(k, n)
+    if p["theta_nodes"] is not None and p["theta_nodes"] < 2 * n + 2:
+        raise UsageError(f"--theta-nodes: need at least {2 * n + 2} for N={n}")
+    if p["phi_nodes"] is not None and p["phi_nodes"] < 4 * n + 2:
+        raise UsageError(f"--phi-nodes: need at least {4 * n + 2} for N={n}")
+    resource = (epr_minus(n) if p["resource"] == "epr"
+                else squeezing_run(n, p["tau"]).state)
+    branch = run_protocol(resource, RotationSpec(p["theta"], p["phi"]))[k]
+    if not branch.defined:
+        raise UndefinedOutcomeError(
+            f"outcome k={k} has zero probability at this target; nothing to map"
+        )
+    state = EnsembleState(n, branch.amplitudes)
+    sphere = wigner_map(
+        angular_state_from_ensemble(state), p["theta_nodes"], p["phi_nodes"]
     )
-    params = {"n": n, "tau": float(tau), "k_cut": k_cut, "theta": theta_pin, "phi": phi_pin}
-    return _render(header, rows, fmt), params
+    rows = [
+        (float(sphere.theta[i]), float(sphere.phi[j]), float(sphere.values[i, j]))
+        for i in range(len(sphere.theta))
+        for j in range(len(sphere.phi))
+    ]
+    grid = {"theta_nodes": len(sphere.theta), "phi_nodes": len(sphere.phi)}
+    return _render(("theta", "phi", "w"), rows, p["format"]), grid
 
 
-def _run_fluctuation(res: _Resolver, fmt: str) -> tuple[str, dict]:
-    nbar = res.require("nbar", _parse_float)
-    if nbar <= 0:
-        raise UsageError(f"--nbar: expected > 0, got {nbar}")
-    sigma0 = res.get("sigma0", _parse_float, 2.0 * math.sqrt(nbar))
-    if sigma0 <= 0:
-        raise UsageError(f"--sigma0: expected > 0, got {sigma0}")
-    truncation = res.get("truncation", _parse_float, 4.0)
-    if truncation <= 0:
-        raise UsageError(f"--truncation: expected > 0, got {truncation}")
-    rule = res.get("rule", _parse_rule, "highest")
-    tau = res.get("tau", _parse_float)
-    phi = res.get("phi", _parse_angle, -math.pi / 4.0)
-    t_nodes = _validate_nodes(res.get("theta-nodes", _parse_int, 61), "--theta-nodes")
-    res.finish()
-    if tau is None:
-        tau, _ = find_optimal_time(max(2, round(nbar)))
-    elif tau < 0:
-        raise UsageError(f"--tau: expected >= 0, got {tau}")
-    fspec = FluctuationSpec(float(nbar), float(sigma0), float(truncation), rule)
-    thetas = list(_theta_grid(t_nodes))
+@_command(
+    "error-sweep", "protocol error over a grid or versus N",
+    Param("n-list", _parse_int_list, None,
+          "comma-separated N values (error versus size)",
+          lambda sizes: _at_least_one_atom(min(sizes))),
+    _N._replace(default=lambda v: _REQUIRED if v["n_list"] is None else None,
+                help="number of atoms per ensemble (required without --n-list)"),
+    _TAU._replace(
+        default=lambda v: _optimal_tau(v["n"]) if v["n_list"] is None else None),
+    Param("k-cut", _parse_int, None,
+          "post-selection cutoff (keep k<=k_cut, k>=N-k_cut)", _non_negative),
+    _THETA_PIN._replace(
+        default=lambda v: None if v["n_list"] is None else math.pi / 2.0,
+        help="pin the polar angle (default pi/2 with --n-list)"),
+    _PHI_PIN._replace(default=lambda v: None if v["n_list"] is None else 0.0,
+                      help="pin the azimuth (default 0 with --n-list)"),
+    _THETA_NODES, _PHI_NODES,
+)
+def _run_error_sweep(p) -> tuple[str, dict]:
+    n_list, k_cut = p["n_list"], p["k_cut"]
+    for n in n_list or (p["n"],):
+        if k_cut is not None and not k_cut < n / 2:
+            raise UsageError(
+                f"--k-cut: must lie in [0, N/2) for every N; "
+                f"got k_cut={k_cut} with N={n}"
+            )
+    columns = ("e",) if k_cut is None else ("e", "e_ps", "keep_p")
+    if n_list is None:
+        resource = squeezing_run(p["n"], p["tau"]).state
+        phis = _phis(p)
+        rows = [
+            row for theta in _thetas(p)
+            for row in _error_rows(resource, theta, phis, k_cut)
+        ]
+        return _render(("theta", "phi", *columns), rows, p["format"]), {}
+
+    # Error versus ensemble size at one target direction.
+    theta, phi = p["theta"], p["phi"]
+    tau_by_n, rows = {}, []
+    for n in n_list:
+        tau = p["tau"] if p["tau"] is not None else _optimal_tau(n)
+        tau_by_n[str(n)] = tau
+        resource = squeezing_run(n, tau).state
+        rows.append((n, theta, phi, *_error_point(resource, theta, phi, k_cut)))
+    text = _render(("n", "theta", "phi", *columns), rows, p["format"])
+    return text, {"tau_by_n": tau_by_n}
+
+
+@_command(
+    "fluctuation", "spin averages under atom-number fluctuations",
+    Param("nbar", _parse_float, _REQUIRED, "mean atom number", _positive),
+    Param("sigma0", _parse_float, lambda v: 2.0 * math.sqrt(v["nbar"]),
+          "Gaussian width (default 2*sqrt(nbar))", _positive),
+    Param("truncation", _parse_float, "4", "support half-width in sigma0 units",
+          _positive),
+    Param("rule", _parse_rule, "highest",
+          "Alice's outcome per shot: highest, lowest, or an integer"),
+    _TAU._replace(default=lambda v: _optimal_tau(max(2, round(v["nbar"]))),
+                  help="common squeezing time (default: optimal for round(nbar))"),
+    _PHI._replace(default="pi:-0.25"),
+    _THETA_NODES,
+)
+def _run_fluctuation(p) -> tuple[str, dict]:
+    fspec = FluctuationSpec(p["nbar"], p["sigma0"], p["truncation"], p["rule"])
+    thetas = _thetas(p)
     results = [
-        fluctuating_spin_averages(fspec, RotationSpec(theta, float(phi)), tau)
+        fluctuating_spin_averages(fspec, RotationSpec(theta, p["phi"]), p["tau"])
         for theta in thetas
     ]
     skipped = sum(result.skipped_terms for result in results)
@@ -576,36 +593,12 @@ def _run_fluctuation(res: _Resolver, fmt: str) -> tuple[str, dict]:
             "outcome exceeded the shot's atom number",
             file=sys.stderr,
         )
-    rows = [(theta, float(phi), *result.spins) for theta, result in zip(thetas, results)]
-    header = ("theta", "phi", "sx", "sy", "sz")
-    params = {
-        "nbar": nbar,
-        "sigma0": sigma0,
-        "truncation": truncation,
-        "rule": rule,
-        "tau": float(tau),
-        "phi": phi,
-        "theta_nodes": t_nodes,
-        "skipped_terms": skipped,
-    }
-    return _render(header, rows, fmt), params
+    rows = [(theta, p["phi"], *result.spins) for theta, result in zip(thetas, results)]
+    text = _render(("theta", "phi", "sx", "sy", "sz"), rows, p["format"])
+    return text, {"skipped_terms": skipped}
 
 
-_RUNNERS = {
-    "optimal-time": _run_optimal_time,
-    "squeeze": _run_squeeze,
-    "protocol": _run_protocol_cmd,
-    "prob-dist": _run_prob_dist,
-    "spin-sweep": _run_spin_sweep,
-    "wigner-map": _run_wigner_map,
-    "error-sweep": _run_error_sweep,
-    "fluctuation": _run_fluctuation,
-}
-
-_JSON_ONLY = ("optimal-time", "squeeze")
-
-
-# --- argument parsing ------------------------------------------------------
+# --- entry points -----------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,113 +609,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_text: str, *options: tuple[str, str]):
-        sub = subparsers.add_parser(name, help=help_text)
-        for flag, help_opt in options:
-            sub.add_argument(flag, type=str, default=None, help=help_opt)
-        sub.add_argument("--config", type=str, default=None,
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        for p in command.params:
+            sub.add_argument(f"--{p.key}", help=_help(p))
+        sub.add_argument("--config",
                          help="flat key=value config file; flags override it")
-        sub.add_argument("--out", type=str, default=None,
-                         help="output file path (required)")
-        default_fmt = "json" if name in _JSON_ONLY else "csv"
-        sub.add_argument("--format", type=str, default=None,
-                         help=f"csv or json (default {default_fmt})")
-        return sub
-
-    n_opt = ("--n", "number of atoms per ensemble")
-    tau_opt = ("--tau", "squeezing time (default: optimal time for N)")
-    theta_opt = ("--theta", "target polar angle (radians or pi:<x>)")
-    phi_opt = ("--phi", "target azimuth (radians or pi:<x>)")
-
-    add("optimal-time", "best common squeezing time for N atoms", n_opt)
-    add("squeeze", "evolved 2A2S resource state and its quality", n_opt, tau_opt)
-    add("protocol", "all measurement branches at one target direction",
-        n_opt, tau_opt, theta_opt, ("--phi", "target azimuth (default 0)"))
-    add("prob-dist", "outcome probabilities over a polar grid",
-        n_opt, tau_opt,
-        ("--theta", "pin the polar angle instead of sweeping"),
-        ("--theta-nodes", "polar grid size (default 61)"))
-    add("spin-sweep", "conditional spin averages over a target grid",
-        n_opt, tau_opt, ("--k", "restrict to one outcome (default: all)"),
-        ("--theta", "pin the polar angle instead of sweeping"),
-        ("--phi", "pin the azimuth instead of sweeping"),
-        ("--theta-nodes", "polar grid size (default 61)"),
-        ("--phi-nodes", "azimuthal grid size (default 61)"))
-    add("wigner-map", "Wigner function of one conditional state",
-        n_opt, tau_opt, ("--k", "Alice's outcome (default N)"),
-        theta_opt, ("--phi", "target azimuth (default 0)"),
-        ("--resource", "resource state: 2a2s or epr (default 2a2s)"),
-        ("--theta-nodes", "polar quadrature nodes (default max(121, 2N+2))"),
-        ("--phi-nodes", "azimuthal nodes (default max(241, 4N+2))"))
-    add("error-sweep", "protocol error over a grid or versus N",
-        n_opt, ("--n-list", "comma-separated N values (error versus size)"),
-        tau_opt, ("--k-cut", "post-selection cutoff (keep k<=k_cut, k>=N-k_cut)"),
-        ("--theta", "pin the polar angle (default pi/2 with --n-list)"),
-        ("--phi", "pin the azimuth (default 0 with --n-list)"),
-        ("--theta-nodes", "polar grid size (default 61)"),
-        ("--phi-nodes", "azimuthal grid size (default 61)"))
-    add("fluctuation", "spin averages under atom-number fluctuations",
-        ("--nbar", "mean atom number"),
-        ("--sigma0", "Gaussian width (default 2*sqrt(nbar))"),
-        ("--truncation", "support half-width in sigma0 units (default 4)"),
-        ("--rule", "Alice's outcome per shot: highest, lowest, or an integer"),
-        ("--tau", "common squeezing time (default: optimal for round(nbar))"),
-        ("--phi", "target azimuth (default -pi/4)"),
-        ("--theta-nodes", "polar grid size (default 61)"))
     return parser
 
 
 def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
-    """Resolve argv plus any config file into a validated run description.
-
-    Per-field validation happens when the subcommand runs; this step merges
-    the two configuration sources and settles the output path and format.
-    """
-    ns = build_parser().parse_args(argv)
-    config = _load_config_file(ns.config) if ns.config else {}
-    out, fmt = _resolve_common(_Resolver(ns, config), ns.subcommand)
-    return ExperimentConfig(ns.subcommand, {"_ns": ns, "_config": config}, out, fmt)
+    """Resolve argv plus any config file into a validated run description."""
+    return _resolve(build_parser().parse_args(argv))
 
 
-def execute(config: ExperimentConfig) -> RunManifest:
-    """Run one resolved subcommand, write its output and manifest."""
+def execute(config: ExperimentConfig) -> dict:
+    """Run one resolved subcommand; write its output and its manifest."""
     started = time.perf_counter()
-    ns = config.params["_ns"]
-    file_values = config.params["_config"]
-    res = _Resolver(ns, file_values)
-    _resolve_common(res, config.subcommand)  # re-consume out/format keys
-    runner = _RUNNERS[config.subcommand]
-    text, params = runner(res, config.fmt)
+    text, extras = _COMMANDS[config.subcommand].run(config.params)
     checksums = write_output(text, config.output_path)
-    wall = time.perf_counter() - started
-    echo = {
-        "subcommand": config.subcommand,
-        "format": config.fmt,
-        "out": config.output_path,
-        **{k: _json_ready(v) for k, v in params.items()},
+    manifest = {
+        "config": {"subcommand": config.subcommand, **config.params, **extras},
+        "version": __version__,
+        "wall_time_s": time.perf_counter() - started,
+        "checksums": checksums,
     }
-    manifest = RunManifest(echo, __version__, wall, checksums)
-    manifest_text = json.dumps(
-        {
-            "config": manifest.config,
-            "version": manifest.version,
-            "wall_time_s": _json_ready(manifest.wall_time_s),
-            "checksums": dict(manifest.checksums),
-        },
-        sort_keys=True,
-        indent=2,
-    ) + "\n"
-    write_output(manifest_text, config.output_path + ".manifest.json")
+    write_output(_json_text(manifest), config.output_path + ".manifest.json")
     return manifest
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    subcommand = "spinrsp"
+    ns = build_parser().parse_args(argv)
     try:
-        config = parse_config(argv)
-        subcommand = config.subcommand
-        execute(config)
+        execute(_resolve(ns))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -730,7 +649,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except SpinRspError as exc:
-        print(f"{subcommand}: {exc}", file=sys.stderr)
+        print(f"{ns.subcommand}: {exc}", file=sys.stderr)
         return 4
     return 0
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .collective_spin import (
     _NORM_TOL,
@@ -39,7 +37,7 @@ from .errors import (
     EmptyPostSelectionError,
     NumericalError,
 )
-from .squeezing import DiagonalPairState
+from .squeezing import DiagonalPairState, _eigensystem
 
 __all__ = [
     "ProtocolOutcome",
@@ -263,29 +261,13 @@ def postselected_error(
 
 # With unequal atom numbers the squeezing interaction still conserves the
 # difference of Fock labels: from |N_A, N_B> only |N_A - d, N_B - d> with
-# d = 0..min(N_A, N_B) is reachable, with tridiagonal couplings
-# (d+1) sqrt((N_A - d)(N_B - d)).
-
-
-@lru_cache(maxsize=4096)
-def _pair_eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
-    dmin = min(n_a, n_b)
-    d = np.arange(dmin)
-    off = (d + 1.0) * np.sqrt((n_a - d) * (n_b - d))
-    try:
-        evals, evecs = eigh_tridiagonal(np.zeros(dmin + 1), off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalError(
-            f"pair eigensolver failed for sizes ({n_a}, {n_b})"
-        ) from exc
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return evals, evecs
+# d = 0..min(N_A, N_B) is reachable.  ``squeezing._eigensystem`` solves
+# that tridiagonal problem, shared with the resource's N_A = N_B case.
 
 
 def _evolved_pair_amplitudes(n_a: int, n_b: int, tau: float) -> np.ndarray:
     """Frame-rotated amplitudes c_d on |N_A - d, N_B - d>, d ascending."""
-    evals, evecs = _pair_eigensystem(n_a, n_b)
+    evals, evecs = _eigensystem(n_a, n_b)
     c = evecs @ (np.exp(-1j * evals * tau) * evecs[0, :])
     d = np.arange(min(n_a, n_b) + 1)
     k_a = n_a - d

@@ -101,22 +101,23 @@ class VarianceTriple:
     var_zm: float  # Var(S^z_A - S^z_B)
 
 
-def coupling_strengths(n_atoms: int) -> np.ndarray:
-    """Off-diagonal couplings <k+1,k+1| H/J |k,k> = (N-k)(k+1), k = 0..N-1."""
-    k = np.arange(n_atoms)
-    return (n_atoms - k) * (k + 1.0)
+@lru_cache(maxsize=4096)
+def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the 2A2S Hamiltonian H/J on the states
+    |N_A - d, N_B - d>, d = 0..min(N_A, N_B), reachable from |N_A, N_B>.
 
-
-@lru_cache(maxsize=64)
-def _eigensystem(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the diagonal-subspace 2A2S Hamiltonian."""
+    The couplings are (d+1) sqrt((N_A - d)(N_B - d)).  At N_A = N_B = N
+    they are the integers (d+1)(N-d), symmetric under d -> N-1-d, so the
+    same matrix serves the resource's labels k = N - d.
+    """
+    dmin = min(n_a, n_b)
+    d = np.arange(dmin)
+    off = (d + 1.0) * np.sqrt((n_a - d) * (n_b - d))
     try:
-        evals, evecs = eigh_tridiagonal(
-            np.zeros(n_atoms + 1), coupling_strengths(n_atoms)
-        )
+        evals, evecs = eigh_tridiagonal(np.zeros(dmin + 1), off)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalError(
-            f"tridiagonal eigensolver failed at size {n_atoms + 1}"
+            f"tridiagonal eigensolver failed for sizes ({n_a}, {n_b})"
         ) from exc
     evals.setflags(write=False)
     evecs.setflags(write=False)
@@ -133,7 +134,7 @@ def evolve_2a2s(n_atoms: int, tau: float) -> DiagonalPairState:
         raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    evals, evecs = _eigensystem(n_atoms)
+    evals, evecs = _eigensystem(n_atoms, n_atoms)
     # Initial state |N,N> is the last basis vector; evecs[n] holds its
     # expansion coefficients over the eigenvectors.
     psi = evecs @ (np.exp(-1j * evals * tau) * evecs[n_atoms, :])
@@ -197,7 +198,7 @@ def find_optimal_time(
     """
     if n_atoms < 2:
         raise DomainError(f"find_optimal_time requires n_atoms >= 2, got {n_atoms}")
-    evals, evecs = _eigensystem(n_atoms)
+    evals, evecs = _eigensystem(n_atoms, n_atoms)
     target = epr_minus(n_atoms).psi * frame_phases(n_atoms).conj()
     # <EPR_-| F exp(-i H t) |N,N> expressed in the eigenbasis: the frame
     # phases are folded into the bra (conjugated once more below).

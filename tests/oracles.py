@@ -36,7 +36,7 @@ from spinrsp.collective_spin import (
     spin_expectations,
 )
 from spinrsp.errors import DomainError, UndefinedOutcomeError
-from spinrsp.squeezing import DiagonalPairState, coupling_strengths
+from spinrsp.squeezing import DiagonalPairState
 
 
 # --- collective operators from first principles ---------------------------
@@ -347,6 +347,12 @@ def apply_operator(
         op @ state.amplitudes,
         normalized=state.normalized and unitary,
     )
+
+
+def coupling_strengths(n_atoms: int) -> np.ndarray:
+    """Off-diagonal couplings <k+1,k+1| H/J |k,k> = (N-k)(k+1), k = 0..N-1."""
+    k = np.arange(n_atoms)
+    return (n_atoms - k) * (k + 1.0)
 
 
 def build_2a2s_tridiagonal(n_atoms: int) -> np.ndarray:

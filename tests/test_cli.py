@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,12 +22,11 @@ def run_main(*args) -> int:
     return cli.main(list(args))
 
 
-def run_process(*args, env_extra=None):
-    import os
-
+def run_process(*args):
+    """Run the CLI in a child interpreter that imports this same package."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "spinrsp.cli", *args],
         capture_output=True,
@@ -407,6 +408,53 @@ class TestManifest:
         assert manifest["version"]
         assert manifest["wall_time_s"] >= 0
 
+    def test_records_resolved_grid(self, tmp_path):
+        out = tmp_path / "ss.csv"
+        assert run_main(
+            "spin-sweep", "--n", "3", "--tau", "0.1", "--theta-nodes", "5",
+            "--phi-nodes", "3", "--out", str(out),
+        ) == 0
+        config = json.loads((tmp_path / "ss.csv.manifest.json").read_text())["config"]
+        assert config == {
+            "subcommand": "spin-sweep", "out": str(out), "format": "csv",
+            "n": 3, "tau": 0.1, "k": None, "theta": None, "phi": None,
+            "theta_nodes": 5, "phi_nodes": 3,
+        }
+
+    def test_error_grid_rebuilds_from_manifest(self, tmp_path):
+        out = tmp_path / "es.csv"
+        assert run_main(
+            "error-sweep", "--n", "4", "--theta-nodes", "5", "--phi-nodes", "3",
+            "--out", str(out),
+        ) == 0
+        config = json.loads((tmp_path / "es.csv.manifest.json").read_text())["config"]
+        assert (config["theta_nodes"], config["phi_nodes"]) == (5, 3)
+        assert config["tau"] == pytest.approx(0.3, abs=0.2)  # the optimum for N = 4
+        rows = read_rows(out, "theta,phi,e")
+        assert len(rows) == config["theta_nodes"] * config["phi_nodes"]
+
+    def test_extras_kept(self, tmp_path):
+        out = tmp_path / "en.csv"
+        assert run_main(
+            "error-sweep", "--n-list", "4,6", "--k-cut", "0", "--out", str(out)
+        ) == 0
+        config = json.loads((tmp_path / "en.csv.manifest.json").read_text())["config"]
+        assert config["n_list"] == [4, 6]
+        assert config["theta"] == pytest.approx(math.pi / 2)
+        assert config["phi"] == 0.0
+        assert config["tau"] is None
+        assert set(config["tau_by_n"]) == {"4", "6"}
+        assert config["tau_by_n"]["4"] != config["tau_by_n"]["6"]
+
+        out = tmp_path / "wm.csv"
+        assert run_main(
+            "wigner-map", "--n", "2", "--tau", "0.2", "--theta", "0.4",
+            "--out", str(out),
+        ) == 0
+        config = json.loads((tmp_path / "wm.csv.manifest.json").read_text())["config"]
+        assert (config["theta_nodes"], config["phi_nodes"]) == (121, 241)
+        assert config["k"] == 2
+
 
 class TestConfigFile:
     def test_file_supplies_values(self, tmp_path):
@@ -452,6 +500,119 @@ class TestConfigFile:
         assert run_main(
             "protocol", "--config", str(tmp_path / "absent.cfg")
         ) == 3
+
+    def test_check_names_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 0\n")
+        assert run_main(
+            "prob-dist", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+        ) == 2
+        assert "config key 'n'" in capsys.readouterr().err
+
+    def test_n_list_ignores_n(self, tmp_path):
+        # The per-N optimal times must not come from the ignored --n.
+        plain, with_n = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_main("error-sweep", "--n-list", "4,6", "--out", str(plain)) == 0
+        assert run_main(
+            "error-sweep", "--n-list", "4,6", "--n", "20", "--out", str(with_n)
+        ) == 0
+        assert plain.read_bytes() == with_n.read_bytes()
+
+
+class TestParameterTable:
+    """One table per subcommand drives flags, config keys and help."""
+
+    RUNS = {
+        "optimal-time": {"n": "6"},
+        "squeeze": {"n": "4", "tau": "0.1"},
+        "protocol": {"n": "6", "tau": "0.2", "theta": "pi:0.5", "phi": "0.3"},
+        "prob-dist": {"n": "4", "theta-nodes": "5"},
+        "spin-sweep": {
+            "n": "4", "tau": "0.1", "k": "3", "theta-nodes": "3", "phi-nodes": "4",
+        },
+        "wigner-map": {
+            "n": "3", "tau": "0.2", "theta": "0.4", "k": "2", "resource": "epr",
+            "theta-nodes": "8", "phi-nodes": "14",
+        },
+        "error-sweep": {
+            "n-list": "4,6", "k-cut": "0", "theta": "pi:0.3", "format": "json",
+        },
+        "fluctuation": {
+            "nbar": "4", "sigma0": "0.5", "truncation": "2", "rule": "lowest",
+            "tau": "0.1", "phi": "pi:0.1", "theta-nodes": "3",
+        },
+    }
+
+    # Every static default, as --help must print it.
+    DEFAULTS = {
+        "optimal-time": {"format": "json"},
+        "squeeze": {"format": "json"},
+        "protocol": {"phi": "0", "format": "csv"},
+        "prob-dist": {"theta-nodes": "61", "format": "csv"},
+        "spin-sweep": {"theta-nodes": "61", "phi-nodes": "61", "format": "csv"},
+        "wigner-map": {"phi": "0", "resource": "2a2s", "format": "csv"},
+        "error-sweep": {"theta-nodes": "61", "phi-nodes": "61", "format": "csv"},
+        "fluctuation": {
+            "truncation": "4", "rule": "highest", "phi": "pi:-0.25",
+            "theta-nodes": "61", "format": "csv",
+        },
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(RUNS))
+    def test_config_file_matches_flags(self, tmp_path, subcommand):
+        values = self.RUNS[subcommand]
+        by_flags, by_file = tmp_path / "flags.out", tmp_path / "file.out"
+        flags = [part for key, value in values.items() for part in (f"--{key}", value)]
+        assert run_main(subcommand, *flags, "--out", str(by_flags)) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "".join(f"{key} = {value}\n" for key, value in values.items())
+            + f"out = {by_file}\n"
+        )
+        assert run_main(subcommand, "--config", str(cfg)) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        manifests = [
+            json.loads(pathlib.Path(f"{path}.manifest.json").read_text())["config"]
+            for path in (by_flags, by_file)
+        ]
+        for config in manifests:
+            del config["out"]
+        assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("subcommand", sorted(DEFAULTS))
+    def test_help_shows_static_defaults(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([subcommand, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        # One entry per option; argparse wraps long help onto indented lines.
+        entries = {
+            entry.split()[0]: " ".join(entry.split())
+            for entry in text.split("\n  -")[1:]
+        }
+        for key, value in self.DEFAULTS[subcommand].items():
+            assert f"(default {value})" in entries[f"-{key}"], (key, entries)
+        assert "(required)" in entries["-out"]
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (("spin-sweep", "--n", "4", "--tau", "0.1", "--theta", "0.3",
+              "--phi", "inf"), "--phi"),
+            (("prob-dist", "--n", "4", "--theta", "inf"), "--theta"),
+            (("prob-dist", "--n", "4", "--theta", "pi:nan"), "--theta"),
+            (("fluctuation", "--nbar", "nan"), "--nbar"),
+            (("fluctuation", "--nbar", "4", "--truncation", "inf"), "--truncation"),
+            (("fluctuation", "--nbar", "4", "--sigma0", "inf"), "--sigma0"),
+            (("protocol", "--n", "4", "--tau=-inf", "--theta", "0.3"), "--tau"),
+        ],
+    )
+    def test_non_finite_rejected(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "x.csv"
+        assert run_main(*args, "--out", str(out)) == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+        assert flag in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -584,8 +745,6 @@ class TestGoldenFixtures:
         ],
     )
     def test_regenerates(self, tmp_path, fixture, args):
-        import pathlib
-
         golden = pathlib.Path(__file__).parent / "fixtures" / fixture
         out = tmp_path / fixture
         assert run_main(*args, "--out", str(out)) == 0

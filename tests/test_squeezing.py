@@ -6,12 +6,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import build_2a2s_tridiagonal, frame_phase_vector, joint_evolution
+from oracles import (
+    build_2a2s_tridiagonal,
+    coupling_strengths,
+    frame_phase_vector,
+    joint_evolution,
+)
 from spinrsp.errors import ContractViolationError, DomainError
 from spinrsp.squeezing import (
     DiagonalPairState,
+    _eigensystem,
     apply_frame_rotation,
-    coupling_strengths,
     epr_minus,
     evolve_2a2s,
     fidelity,
@@ -50,6 +55,17 @@ class TestHamiltonian:
     def test_rejects_zero_atoms(self):
         with pytest.raises(DomainError):
             build_2a2s_tridiagonal(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 57])
+    def test_shared_eigensystem_diagonalizes_resource(self, n):
+        # The fluctuation pairs' eigensystem at N_A = N_B serves the resource.
+        evals, evecs = _eigensystem(n, n)
+        h = build_2a2s_tridiagonal(n)
+        scale = float(np.abs(h).max())
+        np.testing.assert_allclose(
+            evecs @ np.diag(evals) @ evecs.T, h, rtol=0, atol=1e-13 * scale
+        )
+        np.testing.assert_allclose(evecs.T @ evecs, np.eye(n + 1), rtol=0, atol=1e-13)
 
 
 class TestEvolution:
