@@ -40,11 +40,12 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .collective_spin import EnsembleState, RotationSpec
-from .errors import DomainError, SpinRspError, UndefinedOutcomeError
+from .collective_spin import RotationSpec
+from .errors import DomainError, SpinRspError
 from .protocol import (
     FluctuationSpec,
     average_error,
+    branch_state,
     fluctuating_spin_averages,
     outcome_probabilities,
     postselected_error,
@@ -190,8 +191,18 @@ class Param(NamedTuple):
     check: Callable[[object], str | None] | None = None
 
 
-def _at_least_one_atom(n: int) -> str | None:
-    return None if n >= 1 else f"need at least one atom, got {n}"
+# The largest N whose (N+1) x (N+1) complex128 matrix numpy can address.
+_MAX_ATOMS = math.isqrt(np.iinfo(np.intp).max // 16) - 1
+
+
+def _addressable(n: float) -> str | None:
+    return None if n <= _MAX_ATOMS else (
+        f"expected at most {_MAX_ATOMS} atoms, whose (N+1) x (N+1) complex "
+        f"matrix numpy can address; got {n}")
+
+
+def _atom_count(n: int) -> str | None:
+    return f"need at least one atom, got {n}" if n < 1 else _addressable(n)
 
 
 def _non_negative(x: float) -> str | None:
@@ -208,7 +219,7 @@ def _optimal_tau(n: int) -> float:
 
 
 _N = Param("n", _parse_int, _REQUIRED, "number of atoms per ensemble",
-           _at_least_one_atom)
+           _atom_count)
 _TAU = Param("tau", _parse_float, lambda v: _optimal_tau(v["n"]),
              "squeezing time (default: optimal time for N)", _non_negative)
 _THETA = Param("theta", _parse_angle, _REQUIRED,
@@ -428,17 +439,17 @@ def _run_optimal_time(p) -> tuple[str, dict]:
           formats=("json",))
 def _run_squeeze(p) -> tuple[str, dict]:
     n = p["n"]
-    run = squeezing_run(n, p["tau"])
-    variances = pair_variances(run)
+    state = squeezing_run(n, p["tau"])
+    variances = pair_variances(state)
     payload = {
         "n": n,
         "tau": p["tau"],
-        "fidelity": fidelity(run.state, epr_minus(n)),
+        "fidelity": fidelity(state, epr_minus(n)),
         "var_sum_x": variances.var_xp,
         "var_diff_y": variances.var_ym,
         "var_diff_z": variances.var_zm,
-        "psi_re": run.state.psi.real,
-        "psi_im": run.state.psi.imag,
+        "psi_re": state.psi.real,
+        "psi_im": state.psi.imag,
     }
     return _json_text(payload), {}
 
@@ -446,7 +457,7 @@ def _run_squeeze(p) -> tuple[str, dict]:
 @_command("protocol", "all measurement branches at one target direction",
           _N, _TAU, _THETA, _PHI)
 def _run_protocol_cmd(p) -> tuple[str, dict]:
-    resource = squeezing_run(p["n"], p["tau"]).state
+    resource = squeezing_run(p["n"], p["tau"])
     rows = _branch_rows(resource, p["theta"], [p["phi"]], None)
     return _render(_BRANCH_HEADER, rows, p["format"]), {}
 
@@ -454,7 +465,7 @@ def _run_protocol_cmd(p) -> tuple[str, dict]:
 @_command("prob-dist", "outcome probabilities over a polar grid",
           _N, _TAU, _THETA_PIN, _THETA_NODES)
 def _run_prob_dist(p) -> tuple[str, dict]:
-    resource = squeezing_run(p["n"], p["tau"]).state
+    resource = squeezing_run(p["n"], p["tau"])
     rows = [
         (theta, k, float(prob))
         for theta in _thetas(p)
@@ -471,7 +482,7 @@ def _run_prob_dist(p) -> tuple[str, dict]:
 def _run_spin_sweep(p) -> tuple[str, dict]:
     if p["k"] is not None:
         _check_outcome(p["k"], p["n"])
-    resource = squeezing_run(p["n"], p["tau"]).state
+    resource = squeezing_run(p["n"], p["tau"])
     phis = _phis(p)
     rows = [
         row for theta in _thetas(p)
@@ -498,13 +509,8 @@ def _run_wigner_map(p) -> tuple[str, dict]:
     if p["phi_nodes"] is not None and p["phi_nodes"] < 4 * n + 2:
         raise UsageError(f"--phi-nodes: need at least {4 * n + 2} for N={n}")
     resource = (epr_minus(n) if p["resource"] == "epr"
-                else squeezing_run(n, p["tau"]).state)
-    branch = run_protocol(resource, RotationSpec(p["theta"], p["phi"]))[k]
-    if not branch.defined:
-        raise UndefinedOutcomeError(
-            f"outcome k={k} has zero probability at this target; nothing to map"
-        )
-    state = EnsembleState(n, branch.amplitudes)
+                else squeezing_run(n, p["tau"]))
+    state = branch_state(resource, RotationSpec(p["theta"], p["phi"]), k)
     sphere = wigner_map(
         angular_state_from_ensemble(state), p["theta_nodes"], p["phi_nodes"]
     )
@@ -521,7 +527,7 @@ def _run_wigner_map(p) -> tuple[str, dict]:
     "error-sweep", "protocol error over a grid or versus N",
     Param("n-list", _parse_int_list, None,
           "comma-separated N values (error versus size)",
-          lambda sizes: _at_least_one_atom(min(sizes))),
+          lambda sizes: _atom_count(min(sizes)) or _atom_count(max(sizes))),
     _N._replace(default=lambda v: _REQUIRED if v["n_list"] is None else None,
                 help="number of atoms per ensemble (required without --n-list)"),
     _TAU._replace(
@@ -545,7 +551,7 @@ def _run_error_sweep(p) -> tuple[str, dict]:
             )
     columns = ("e",) if k_cut is None else ("e", "e_ps", "keep_p")
     if n_list is None:
-        resource = squeezing_run(p["n"], p["tau"]).state
+        resource = squeezing_run(p["n"], p["tau"])
         phis = _phis(p)
         rows = [
             row for theta in _thetas(p)
@@ -559,7 +565,7 @@ def _run_error_sweep(p) -> tuple[str, dict]:
     for n in n_list:
         tau = p["tau"] if p["tau"] is not None else _optimal_tau(n)
         tau_by_n[str(n)] = tau
-        resource = squeezing_run(n, tau).state
+        resource = squeezing_run(n, tau)
         rows.append((n, theta, phi, *_error_point(resource, theta, phi, k_cut)))
     text = _render(("n", "theta", "phi", *columns), rows, p["format"])
     return text, {"tau_by_n": tau_by_n}
@@ -567,7 +573,8 @@ def _run_error_sweep(p) -> tuple[str, dict]:
 
 @_command(
     "fluctuation", "spin averages under atom-number fluctuations",
-    Param("nbar", _parse_float, _REQUIRED, "mean atom number", _positive),
+    Param("nbar", _parse_float, _REQUIRED, "mean atom number",
+          lambda x: _positive(x) or _addressable(x)),
     Param("sigma0", _parse_float, lambda v: 2.0 * math.sqrt(v["nbar"]),
           "Gaussian width (default 2*sqrt(nbar))", _positive),
     Param("truncation", _parse_float, "4", "support half-width in sigma0 units",

@@ -30,7 +30,6 @@ __all__ = [
     "EnsembleState",
     "RotationSpec",
     "y_rotation_matrix",
-    "rotation_matrix",
     "spin_expectations",
 ]
 
@@ -149,19 +148,6 @@ def y_rotation_matrix(n_atoms: int, theta: float) -> np.ndarray:
     return _y_rotation_elements(n_atoms, kk[:, None], kk[None, :], theta)
 
 
-def rotation_matrix(n_atoms: int, spec: RotationSpec) -> np.ndarray:
-    """Unitary of U(theta, phi) = exp(-i S^z phi/2) exp(-i S^y theta/2).
-
-    Column k holds the Fock-basis expansion of U |k>.  Unitary within
-    1e-10 up to at least N = 200.
-    """
-    if n_atoms < 1:
-        raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
-    kp = np.arange(n_atoms + 1)
-    z_phase = np.exp(-1j * (2 * kp - n_atoms) * spec.phi / 2.0)
-    return z_phase[:, None] * y_rotation_matrix(n_atoms, spec.theta)
-
-
 def rotation_log_column(
     n_atoms: int, k: int, spec: RotationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +156,7 @@ def rotation_log_column(
     Element kp equals ``phases[kp] * exp(log_moduli[kp])``; an exactly zero
     element has log-modulus -inf.  Near theta = 0 and pi most elements are
     high powers of sin(theta/2) or cos(theta/2), which the columns of
-    :func:`rotation_matrix` underflow to zero; here they keep their full
+    :func:`y_rotation_matrix` underflow to zero; here they keep their full
     relative precision.
     """
     if not 0 <= k <= n_atoms:
@@ -191,32 +177,24 @@ def rotation_log_column(
     return z_phase * sign * np.sign(jacobi), log_moduli
 
 
-def spin_expectations(state) -> tuple[float, float, float] | np.ndarray:
+def spin_expectations(state) -> tuple[float, float, float]:
     """(<S^x>, <S^y>, <S^z>) of a (not necessarily normalized) state.
 
-    ``state`` is an :class:`EnsembleState`, its amplitude vector, or an
-    (N+1, m) array whose columns are m states of one N-atom ensemble.  A
-    single state gives a tuple; columns give an (m, 3) array whose row j
-    holds the spins of column j.  Uses the ladder structure directly instead
-    of dense matrices; the tiny imaginary residue of the Hermitian
-    expectations is discarded.
+    ``state`` is an :class:`EnsembleState` or its amplitude vector.  Uses the
+    ladder structure directly instead of dense matrices; the tiny imaginary
+    residue of the Hermitian expectations is discarded.
     """
     amps = state.amplitudes if isinstance(state, EnsembleState) else np.asarray(state)
     n = amps.shape[0] - 1
-    cols = amps.reshape(n + 1, -1)
-    weights = np.abs(cols) ** 2
-    norm2 = np.sum(weights, axis=0)
-    if not np.all(norm2 >= 1e-24):
+    weights = np.abs(amps) ** 2
+    norm2 = float(np.sum(weights))
+    if not norm2 >= 1e-24:
         raise DegenerateStateError(
             "spin expectations of a zero-norm or non-finite state"
         )
     k = np.arange(n)
     # <S^+> accumulated over <k+1| S^+ |k> couplings (empty sum when n = 0).
     up = np.sqrt((k + 1.0) * (n - k))
-    splus_exp = np.sum(np.conj(cols[1:]) * up[:, None] * cols[:-1], axis=0)
-    sz_exp = np.sum((2.0 * np.arange(n + 1) - n)[:, None] * weights, axis=0)
-    spins = np.stack([2.0 * splus_exp.real, 2.0 * splus_exp.imag, sz_exp], axis=1)
-    spins /= norm2[:, None]
-    if amps.ndim == 1:
-        return tuple(spins[0].tolist())
-    return spins
+    splus_exp = complex(np.sum(np.conj(amps[1:]) * up * amps[:-1]))
+    sz_exp = float(np.sum((2.0 * np.arange(n + 1) - n) * weights))
+    return 2.0 * splus_exp.real / norm2, 2.0 * splus_exp.imag / norm2, sz_exp / norm2

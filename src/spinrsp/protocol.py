@@ -25,9 +25,9 @@ import numpy as np
 
 from .collective_spin import (
     _NORM_TOL,
+    EnsembleState,
     RotationSpec,
     rotation_log_column,
-    rotation_matrix,
     spin_expectations,
     y_rotation_matrix,
 )
@@ -36,8 +36,9 @@ from .errors import (
     DomainError,
     EmptyPostSelectionError,
     NumericalError,
+    UndefinedOutcomeError,
 )
-from .squeezing import DiagonalPairState, _eigensystem
+from .squeezing import DiagonalPairState, evolve_pair
 
 __all__ = [
     "ProtocolOutcome",
@@ -45,6 +46,7 @@ __all__ = [
     "FluctuationResult",
     "run_protocol",
     "outcome_probabilities",
+    "branch_state",
     "average_error",
     "postselected_error",
     "pair_conditional_spins",
@@ -56,26 +58,25 @@ _ZERO_PROBABILITY = 1e-14
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """One measurement branch: outcome k, its probability, Bob's state.
+    """One measurement branch: outcome k, its probability, Bob's spins.
 
-    ``amplitudes`` is Bob's normalized conditional state (read-only),
-    ``bob_spins`` its (<S^x>, <S^y>, <S^z>) and ``error`` its Bloch-sphere
-    distance (1/2N) |<S> - <S>_ideal| from the spin-EPR outcome, in [0, 1].
-    Zero-probability branches are represented with ``probability = 0`` and
-    no conditional state (``amplitudes``, ``bob_spins`` and ``error`` are
-    None); consumers must skip them.
+    ``bob_spins`` is (<S^x>, <S^y>, <S^z>) of Bob's normalized conditional
+    state and ``error`` its Bloch-sphere distance (1/2N) |<S> - <S>_ideal|
+    from the spin-EPR outcome, in [0, 1].  Zero-probability branches are
+    represented with ``probability = 0`` and no conditional state
+    (``bob_spins`` and ``error`` are None); consumers must skip them.  The
+    state itself is built on demand by :func:`branch_state`.
     """
 
     k: int
     probability: float
-    amplitudes: np.ndarray | None
     bob_spins: tuple[float, float, float] | None
     error: float | None
     correction_applied: bool
 
     @property
     def defined(self) -> bool:
-        return self.amplitudes is not None
+        return self.bob_spins is not None
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,39 @@ def _alice_spec(spec: RotationSpec) -> RotationSpec:
     return RotationSpec(spec.theta, math.pi - spec.phi)
 
 
-def _correction_phases(n_atoms: int) -> np.ndarray:
-    """Diagonal of Bob's conditional correction exp(-i S^z pi/2)."""
-    k = np.arange(n_atoms + 1)
-    return np.exp(-1j * (2 * k - n_atoms) * math.pi / 2.0)
+def _rotated_populations(
+    resource: DiagonalPairState, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, D o D, P) with D = exp(-i S^y theta/2) and P = |psi|^2 (D o D).
+
+    P_k is the probability of Alice's outcome k.  It sums to sum |psi|^2
+    only while D stays orthogonal, so the sum is checked within 1e-12.
+    """
+    w = np.abs(resource.psi) ** 2
+    d = y_rotation_matrix(resource.n_atoms, theta)
+    d2 = d * d
+    probs = w @ d2
+    total, expected = float(np.sum(probs)), float(np.sum(w))
+    if not abs(total - expected) <= _NORM_TOL:
+        raise NumericalError(
+            f"outcome probabilities at N={resource.n_atoms}, theta={theta!r} "
+            f"sum to {total!r}, not {expected!r}: the rotation matrix has "
+            "drifted from orthogonal"
+        )
+    return d, d2, probs
+
+
+def _alice_conjugate_phases(resource: DiagonalPairState, spec: RotationSpec):
+    """g = psi times the conjugate z-phases of Alice's U(theta, pi - phi).
+
+    Projecting Alice on <k| after U^dagger leaves Bob with
+    sum_k' g_k' D[k', k] |k'>, D the real y-rotation.  The resource must be
+    frame-rotated.
+    """
+    if not resource.frame_rotated:
+        raise ContractViolationError("the protocol requires a frame-rotated resource")
+    m = 2 * np.arange(resource.n_atoms + 1) - resource.n_atoms
+    return resource.psi * np.exp(1j * m * _alice_spec(spec).phi / 2.0)
 
 
 def run_protocol(
@@ -156,79 +186,85 @@ def run_protocol(
 
     The resource must already be in the protocol frame (``frame_rotated``);
     the 2A2S state needs the explicit phase rotation, the spin-EPR state is
-    constructed frame-ready.  The operator sequence is applied numerically;
-    the closed-form phase expression for the conditional state is exercised
-    as a cross-check in the test suite, not used here.
+    constructed frame-ready.
 
-    Every branch is one column of the (N+1) x (N+1) branch matrix, so the
-    probabilities, normalized states, spins and errors are array
-    reductions over its columns.  In the ideal (spin-EPR) protocol outcome
-    k leaves Bob's spins at |2k - N| (sin theta cos phi, sin theta sin phi)
-    transverse and (2k - N) cos theta along z: outcomes k >= N/2 prepare the
-    rotated Fock state |k> at (theta, phi), outcomes k < N/2 the one at
-    (theta, phi + pi).
+    Bob's branch k is sum_k' g_k' D[k', k] |k'> (see
+    :func:`_alice_conjugate_phases`), times exp(-i S^z pi/2) when k < N/2.
+    Its statistics are therefore real quadratic forms in D: with
+    w = |psi|^2, m = 2k' - N and f = sqrt((k'+1)(N-k')),
+
+        P = w (D o D),    P <S^z> = (m w) (D o D),
+        P <S^+> = +-(f conj(g[1:]) g[:-1]) (D[1:] o D[:-1]),
+
+    the sign negative on the corrected branches, whose correction flips
+    S^+.  In the ideal (spin-EPR) protocol outcome k leaves Bob's spins at
+    |2k - N| (sin theta cos phi, sin theta sin phi) transverse and
+    (2k - N) cos theta along z: outcomes k >= N/2 prepare the rotated Fock
+    state |k> at (theta, phi), outcomes k < N/2 the one at (theta, phi + pi).
     """
-    if not resource.frame_rotated:
-        raise ContractViolationError(
-            "run_protocol requires a frame-rotated resource state"
-        )
+    g = _alice_conjugate_phases(resource, spec)
     n = resource.n_atoms
-    alice = rotation_matrix(n, _alice_spec(spec))
-    # Row index: Bob's Fock label k'; column index: Alice's outcome k.
-    # Projecting Alice on <k| after U^dagger leaves Bob with
-    # sum_k' psi_k' conj(alice[k', k]) |k'>.
-    branch = resource.psi[:, None] * np.conj(alice)
+    d, d2, probs = _rotated_populations(resource, spec.theta)
     kk = np.arange(n + 1)
+    m = 2 * kk - n
     corrected = kk < n / 2
-    branch[:, corrected] *= _correction_phases(n)[:, None]
-    probs = np.sum(np.abs(branch) ** 2, axis=0)
-    # A NaN probability counts as defined, so the norm check below reports it.
-    index = np.flatnonzero(~(probs < _ZERO_PROBABILITY))
-    with np.errstate(invalid="ignore"):
-        amps = branch[:, index] / np.sqrt(probs[index])
-    norm2 = np.sum(np.abs(amps) ** 2, axis=0)
-    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= _NORM_TOL))
-    if bad.size:
-        raise NumericalError(
-            f"branch k={index[bad[0]]} not normalized: "
-            f"sum |a_k|^2 = {float(norm2[bad[0]])!r}"
-        )
-    amps.setflags(write=False)
-    spins = spin_expectations(amps)
-    m = 2 * index - n
+    coupling = np.sqrt((kk[:-1] + 1.0) * (n - kk[:-1])) * np.conj(g[1:]) * g[:-1]
+    sx, sy = (2.0 * np.where(corrected, -1.0, 1.0)) * (
+        np.stack([coupling.real, coupling.imag]) @ (d[1:] * d[:-1])
+    )
+    sz = (m * np.abs(resource.psi) ** 2) @ d2
+    defined = probs >= _ZERO_PROBABILITY
+    spins = np.stack([sx, sy, sz], axis=1) / np.where(defined, probs, 1.0)[:, None]
+    length = np.abs(m) * math.sin(spec.theta)
     ideal = np.stack(
-        [
-            np.abs(m) * math.sin(spec.theta) * math.cos(spec.phi),
-            np.abs(m) * math.sin(spec.theta) * math.sin(spec.phi),
-            m * math.cos(spec.theta),
-        ],
+        [length * math.cos(spec.phi), length * math.sin(spec.phi),
+         m * math.cos(spec.theta)],
         axis=1,
     )
     errors = np.linalg.norm(spins - ideal, axis=1) / (2.0 * n)
-    outcomes = [
-        ProtocolOutcome(k, 0.0, None, None, None, bool(corrected[k]))
+    return [
+        ProtocolOutcome(k, float(probs[k]), tuple(spins[k].tolist()),
+                        float(errors[k]), bool(corrected[k]))
+        if defined[k]
+        else ProtocolOutcome(k, 0.0, None, None, bool(corrected[k]))
         for k in range(n + 1)
     ]
-    for j, k in enumerate(index.tolist()):
-        outcomes[k] = ProtocolOutcome(
-            k,
-            float(probs[k]),
-            amps[:, j],
-            tuple(spins[j].tolist()),
-            float(errors[j]),
-            bool(corrected[k]),
-        )
-    return outcomes
 
 
 def outcome_probabilities(resource: DiagonalPairState, theta: float) -> np.ndarray:
     """P_k(theta) = sum_k' |psi_k'|^2 |<k| exp(i S^y theta/2) |k'>|^2.
 
+    The same P as :func:`run_protocol`, without its zero-probability cut.
     Independent of phi and of any diagonal phases on the resource (in
     particular of whether the frame rotation was applied).
     """
-    d = y_rotation_matrix(resource.n_atoms, theta)
-    return np.abs(resource.psi) ** 2 @ d**2
+    return _rotated_populations(resource, theta)[2]
+
+
+def branch_state(
+    resource: DiagonalPairState, spec: RotationSpec, k: int
+) -> EnsembleState:
+    """Bob's normalized conditional state for Alice's outcome k.
+
+    The branch :func:`run_protocol` summarizes, built for one k where a
+    caller needs the state itself.  Raises :class:`UndefinedOutcomeError`
+    for a branch below the zero-probability cut.
+    """
+    g = _alice_conjugate_phases(resource, spec)
+    n = resource.n_atoms
+    if not 0 <= k <= n:
+        raise DomainError(f"k must lie in [0, {n}], got {k}")
+    d, _, probs = _rotated_populations(resource, spec.theta)
+    p = float(probs[k])
+    if not p >= _ZERO_PROBABILITY:
+        raise UndefinedOutcomeError(
+            f"outcome k={k} has zero probability at N={n}, "
+            f"theta={spec.theta!r}, phi={spec.phi!r}"
+        )
+    amps = g * d[:, k]
+    if k < n / 2:
+        amps *= np.exp(-1j * (2 * np.arange(n + 1) - n) * math.pi / 2.0)
+    return EnsembleState(n, amps / math.sqrt(p))
 
 
 def average_error(outcomes: Sequence[ProtocolOutcome]) -> float:
@@ -261,18 +297,8 @@ def postselected_error(
 
 # With unequal atom numbers the squeezing interaction still conserves the
 # difference of Fock labels: from |N_A, N_B> only |N_A - d, N_B - d> with
-# d = 0..min(N_A, N_B) is reachable.  ``squeezing._eigensystem`` solves
+# d = 0..min(N_A, N_B) is reachable.  ``squeezing.evolve_pair`` propagates
 # that tridiagonal problem, shared with the resource's N_A = N_B case.
-
-
-def _evolved_pair_amplitudes(n_a: int, n_b: int, tau: float) -> np.ndarray:
-    """Frame-rotated amplitudes c_d on |N_A - d, N_B - d>, d ascending."""
-    evals, evecs = _eigensystem(n_a, n_b)
-    c = evecs @ (np.exp(-1j * evals * tau) * evecs[0, :])
-    d = np.arange(min(n_a, n_b) + 1)
-    k_a = n_a - d
-    k_b = n_b - d
-    return c * np.exp(1j * ((2 * k_a - n_a) + (2 * k_b - n_b)) * math.pi / 8.0)
 
 
 def _alice_log_column(n_a: int, k: int, spec: RotationSpec):
@@ -308,9 +334,11 @@ def _pair_branch(
     d = np.arange(min(n_a, n_b) + 1)
     k_a = n_a - d
     k_b = n_b - d
-    c = _evolved_pair_amplitudes(n_a, n_b, tau)
+    # The evolved pair in the rotated frame of both ensembles.
+    frame = np.exp(1j * ((2 * k_a - n_a) + (2 * k_b - n_b)) * math.pi / 8.0)
+    c = evolve_pair(n_a, n_b, tau) * frame
     if alice_column is None:
-        branch = c.copy()
+        branch = c
         log_scale = 0.0
     else:
         phases, log_moduli = alice_column

@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .collective_spin import _NORM_TOL
 from .errors import (
     ContractViolationError,
     DomainError,
@@ -31,8 +32,8 @@ from .errors import (
 
 __all__ = [
     "DiagonalPairState",
-    "SqueezingRun",
     "VarianceTriple",
+    "evolve_pair",
     "evolve_2a2s",
     "apply_frame_rotation",
     "epr_minus",
@@ -40,9 +41,6 @@ __all__ = [
     "find_optimal_time",
     "pair_variances",
 ]
-
-_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DiagonalPairState:
@@ -72,24 +70,6 @@ class DiagonalPairState:
             raise DomainError(f"pair state not normalized: sum |psi_k|^2 = {norm2!r}")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
-
-
-@dataclass(frozen=True)
-class SqueezingRun:
-    """One squeezing evolution: ensemble size, time, resulting state."""
-
-    n_atoms: int
-    tau: float
-    state: DiagonalPairState
-    frame_rotated: bool
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise DomainError(f"tau must be >= 0, got {self.tau}")
-        if self.state.n_atoms != self.n_atoms:
-            raise DomainError("state size does not match n_atoms")
-        if self.state.frame_rotated != self.frame_rotated:
-            raise DomainError("frame_rotated flag disagrees with state")
 
 
 @dataclass(frozen=True)
@@ -124,20 +104,28 @@ def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
+def evolve_pair(n_a: int, n_b: int, tau: float) -> np.ndarray:
+    """exp(-i H tau) |N_A, N_B> as amplitudes c_d on |N_A - d, N_B - d>,
+    d = 0..min(N_A, N_B) ascending (no frame rotation).
+
+    Computed by eigendecomposition of the tridiagonal subspace Hamiltonian,
+    exact for every tau.  The initial state d = 0 is the first basis vector.
+    """
+    evals, evecs = _eigensystem(n_a, n_b)
+    return evecs @ (np.exp(-1j * evals * tau) * evecs[0, :])
+
+
 def evolve_2a2s(n_atoms: int, tau: float) -> DiagonalPairState:
     """exp(-i H tau) |N>_A |N>_B as a diagonal pair state (no frame rotation).
 
-    Computed by eigendecomposition of the tridiagonal subspace Hamiltonian,
-    exact for every tau.
+    The resource is the N_A = N_B case of :func:`evolve_pair`, with the
+    labels k = N - d in ascending order.
     """
     if n_atoms < 1:
         raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    evals, evecs = _eigensystem(n_atoms, n_atoms)
-    # Initial state |N,N> is the last basis vector; evecs[n] holds its
-    # expansion coefficients over the eigenvectors.
-    psi = evecs @ (np.exp(-1j * evals * tau) * evecs[n_atoms, :])
+    psi = evolve_pair(n_atoms, n_atoms, tau)[::-1]
     return DiagonalPairState(n_atoms, psi, frame_rotated=False)
 
 
@@ -180,12 +168,9 @@ def fidelity(state: DiagonalPairState, target: DiagonalPairState) -> float:
     return float(abs(np.vdot(target.psi, state.psi)) ** 2)
 
 
-def squeezing_run(n_atoms: int, tau: float, frame_rotated: bool = True) -> SqueezingRun:
-    """Convenience constructor: evolve and optionally frame-rotate."""
-    state = evolve_2a2s(n_atoms, tau)
-    if frame_rotated:
-        state = apply_frame_rotation(state)
-    return SqueezingRun(n_atoms, tau, state, frame_rotated)
+def squeezing_run(n_atoms: int, tau: float) -> DiagonalPairState:
+    """The frame-rotated squeezed resource after time tau."""
+    return apply_frame_rotation(evolve_2a2s(n_atoms, tau))
 
 
 def find_optimal_time(
@@ -234,21 +219,21 @@ def find_optimal_time(
     return tau_opt, fid(tau_opt)
 
 
-def pair_variances(run: SqueezingRun) -> VarianceTriple:
+def pair_variances(state: DiagonalPairState) -> VarianceTriple:
     """Variances of S^x_A + S^x_B, S^y_A - S^y_B, S^z_A - S^z_B.
 
     Valid in the rotated frame only, where these are the squeezed/conserved
-    combinations; calling on an un-rotated run raises
+    combinations; calling on an un-rotated state raises
     :class:`ContractViolationError`.  On the diagonal pair basis all three
     expectations vanish and the second moments reduce to ladder-coefficient
     sums over psi.
     """
-    if not run.frame_rotated:
+    if not state.frame_rotated:
         raise ContractViolationError(
-            "pair_variances requires a frame-rotated squeezing run"
+            "pair_variances requires a frame-rotated pair state"
         )
-    n = run.n_atoms
-    psi = run.state.psi
+    n = state.n_atoms
+    psi = state.psi
     k = np.arange(n + 1)
     f = np.sqrt((k + 1.0) * (n - k))  # <k+1|S^+|k>, entry N is 0
     g = np.sqrt(k * (n - k + 1.0))  # <k-1|S^-|k>, entry 0 is 0

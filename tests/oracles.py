@@ -14,7 +14,7 @@ Everything here is built by a different route than the library code:
 Tests compare the fast library implementations against these oracles.  The
 per-branch protocol loop rebuilds every branch as its own state, with the
 ideal outcome and its error taken one branch at a time.  The dense operator
-and single-column helpers at the end are not oracles: only tests use them,
+and rotation helpers at the end are not oracles: only tests use them,
 so they live here rather than in the library.
 """
 
@@ -32,8 +32,8 @@ from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
     _y_rotation_elements,
-    rotation_matrix,
     spin_expectations,
+    y_rotation_matrix,
 )
 from spinrsp.errors import DomainError, UndefinedOutcomeError
 from spinrsp.squeezing import DiagonalPairState
@@ -485,7 +485,17 @@ def loop_postselected_error(
     return weighted / keep_p, keep_p
 
 
-# --- single-column rotation helpers used only by tests -----------------------
+# --- rotation helpers used only by tests --------------------------------------
+
+
+def rotation_matrix(n_atoms: int, spec: RotationSpec) -> np.ndarray:
+    """Unitary of U(theta, phi) = exp(-i S^z phi/2) exp(-i S^y theta/2).
+
+    Column k holds the Fock-basis expansion of U |k>.
+    """
+    kp = np.arange(n_atoms + 1)
+    z_phase = np.exp(-1j * (2 * kp - n_atoms) * spec.phi / 2.0)
+    return z_phase[:, None] * y_rotation_matrix(n_atoms, spec.theta)
 
 
 def y_rotation_column(n_atoms: int, k: int, theta: float) -> np.ndarray:

@@ -15,10 +15,11 @@ import time
 import numpy as np
 
 import spinrsp.cli as cli
-from spinrsp.collective_spin import EnsembleState, RotationSpec
+from spinrsp.collective_spin import RotationSpec
 from spinrsp.protocol import (
     FluctuationSpec,
     average_error,
+    branch_state,
     fluctuating_spin_averages,
     outcome_probabilities,
     pair_conditional_spins,
@@ -111,19 +112,19 @@ def test_criterion_3_brute_force_equivalence():
         np.fill_diagonal(off_diagonal, 0.0)
         amp_devs.append(np.max(np.abs(off_diagonal)))
         amp_devs.append(np.max(np.abs(np.diag(dense) - evolve_2a2s(n, tau).psi)))
-        resource = squeezing_run(n, tau).state
+        resource = squeezing_run(n, tau)
         for theta, phi in angles:
             ref_probs, ref_states = oracles.brute_force_protocol(
                 n, tau, theta, phi
             )
-            outcomes = run_protocol(resource, RotationSpec(theta, phi))
+            spec = RotationSpec(theta, phi)
+            outcomes = run_protocol(resource, spec)
             for outcome, ref_p, ref_state in zip(outcomes, ref_probs, ref_states):
                 prob_devs.append(abs(outcome.probability - ref_p))
                 if ref_state is None or not outcome.defined:
                     continue
-                state_devs.append(
-                    np.max(np.abs(outcome.amplitudes - ref_state))
-                )
+                state = branch_state(resource, spec, outcome.k)
+                state_devs.append(np.max(np.abs(state.amplitudes - ref_state)))
     worst_amp = float(np.max(amp_devs))
     worst_prob = float(np.max(prob_devs))
     worst_state = float(np.max(state_devs))
@@ -148,7 +149,7 @@ def test_criterion_3_brute_force_equivalence():
 def test_criterion_4_probability_symmetry_and_phase_independence():
     n = 20
     tau, _ = find_optimal_time(n)
-    resource = squeezing_run(n, tau).state
+    resource = squeezing_run(n, tau)
     reflection_devs = []
     for theta in np.linspace(0.0, math.pi, 25):
         forward = outcome_probabilities(resource, float(theta))
@@ -207,7 +208,7 @@ def test_criterion_6_error_trends():
     details = []
     for n in range(10, 51, 10):
         tau, _ = find_optimal_time(n)
-        resource = squeezing_run(n, tau).state
+        resource = squeezing_run(n, tau)
         outcomes = run_protocol(resource, spec)
         avg = average_error(outcomes)
         ps, _keep = postselected_error(outcomes, 0)
@@ -231,7 +232,7 @@ def test_criterion_6_error_trends():
 def test_criterion_7_wigner_normalization_and_negativity():
     n = 20
     tau, _ = find_optimal_time(n)
-    resource = squeezing_run(n, tau).state
+    resource = squeezing_run(n, tau)
     spec = RotationSpec(0.5, 0.0)
     expected = math.sqrt(4.0 * math.pi / (n + 1))
     norm_devs = []
@@ -239,7 +240,7 @@ def test_criterion_7_wigner_normalization_and_negativity():
     for outcome in run_protocol(resource, spec):
         if not outcome.defined:
             continue
-        state = EnsembleState(n, outcome.amplitudes)
+        state = branch_state(resource, spec, outcome.k)
         sphere = wigner_map(angular_state_from_ensemble(state))
         norm_devs.append(abs(sphere.integrate() - expected))
         if outcome.k in (n - 1, n):

@@ -275,7 +275,7 @@ class TestPhiAsBobRotation:
 
     @pytest.fixture(scope="class")
     def resource(self):
-        return squeezing_run(self.N, 0.15).state
+        return squeezing_run(self.N, 0.15)
 
     def point_rows(self, resource, theta, phi, k_sel):
         rows = []
@@ -613,6 +613,24 @@ class TestParameterTable:
         assert not out.exists()
         assert not (tmp_path / "x.csv.manifest.json").exists()
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (("fluctuation", "--nbar", "1e308"), "--nbar"),
+            (("fluctuation", "--nbar", "1e10"), "--nbar"),
+            (("spin-sweep", "--n", str(10**10), "--tau", "0.1"), "--n"),
+            (("error-sweep", "--n-list", f"4,{10**10}", "--tau", "0.1"), "--n-list"),
+        ],
+    )
+    def test_unaddressable_size_rejected(self, tmp_path, capsys, args, flag):
+        # An (N+1) x (N+1) complex matrix past the largest index numpy can
+        # address is a usage error, raised before anything is allocated.
+        out = tmp_path / "x.csv"
+        assert run_main(*args, "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag}: expected at most ")
 
 
 class TestExitCodes:

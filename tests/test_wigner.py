@@ -9,7 +9,7 @@ import pytest
 from oracles import rotated_fock_state, wigner_3j_from_cg
 from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.errors import DomainError
-from spinrsp.protocol import run_protocol
+from spinrsp.protocol import branch_state, run_protocol
 from spinrsp.squeezing import epr_minus, squeezing_run
 from spinrsp.wigner import (
     AngularState,
@@ -260,11 +260,12 @@ class TestWignerMap:
 
     def test_normalization_of_protocol_states(self):
         n = 10
-        run = squeezing_run(n, 0.2)
-        for outcome in run_protocol(run.state, RotationSpec(0.5, 0.0)):
+        resource = squeezing_run(n, 0.2)
+        spec = RotationSpec(0.5, 0.0)
+        for outcome in run_protocol(resource, spec):
             if not outcome.defined:
                 continue
-            state = EnsembleState(n, outcome.amplitudes)
+            state = branch_state(resource, spec, outcome.k)
             sphere = wigner_map(angular_state_from_ensemble(state))
             assert sphere.integrate() == pytest.approx(
                 math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
@@ -298,14 +299,12 @@ class TestWignerMap:
 
     def test_fock_like_outcome_goes_negative(self):
         n = 10
-        run = squeezing_run(n, 0.2)
-        outcomes = run_protocol(run.state, RotationSpec(0.5, 0.0))
+        resource = squeezing_run(n, 0.2)
+        spec = RotationSpec(0.5, 0.0)
         near_top = wigner_map(
-            angular_state_from_ensemble(EnsembleState(n, outcomes[n - 1].amplitudes))
+            angular_state_from_ensemble(branch_state(resource, spec, n - 1))
         )
-        top = wigner_map(
-            angular_state_from_ensemble(EnsembleState(n, outcomes[n].amplitudes))
-        )
+        top = wigner_map(angular_state_from_ensemble(branch_state(resource, spec, n)))
         assert near_top.minimum()[0] < 0.0
         assert top.minimum()[0] > near_top.minimum()[0]
 
