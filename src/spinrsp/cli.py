@@ -589,10 +589,9 @@ def _run_error_sweep(p) -> tuple[str, dict]:
 def _run_fluctuation(p) -> tuple[str, dict]:
     fspec = FluctuationSpec(p["nbar"], p["sigma0"], p["truncation"], p["rule"])
     thetas = _thetas(p)
-    results = [
-        fluctuating_spin_averages(fspec, RotationSpec(theta, p["phi"]), p["tau"])
-        for theta in thetas
-    ]
+    results = fluctuating_spin_averages(
+        fspec, [RotationSpec(theta, p["phi"]) for theta in thetas], p["tau"]
+    )
     skipped = sum(result.skipped_terms for result in results)
     if skipped:
         print(

@@ -11,26 +11,29 @@ throughout carry a factor-2 convention relative to angular momentum:
 
 so that [S^j, S^k] = 2i eps_{jkl} S^l.  Rotations from the north pole are
 
-    U(theta, phi) = exp(-i S^z phi / 2) exp(-i S^y theta / 2),
+    U(theta, phi) = exp(-i S^z phi / 2) exp(-i S^y theta / 2).
 
-whose matrix elements in the Fock basis are evaluated in closed form.
+The y-rotation matrix comes from the eigenbasis of S^x, which is real
+tridiagonal; single rotated columns keep the closed form (Jacobi
+polynomials) for its relative accuracy in the tails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, gammaln
 
-from .errors import DomainError, DegenerateStateError
+from .errors import DomainError
 
 __all__ = [
     "EnsembleState",
     "RotationSpec",
     "y_rotation_matrix",
-    "spin_expectations",
 ]
 
 _NORM_TOL = 1e-12
@@ -92,11 +95,13 @@ class RotationSpec:
 
 
 def _y_rotation_exponents(n: int, kp, k):
-    """Pieces of the closed form behind :func:`_y_rotation_elements`.
+    """Pieces of the closed form of <kp| exp(-i S^y theta/2) |k>.
 
     Returns (k0, a, b, log_prefactor, sign): the element is sign *
     exp(log_prefactor) * sin(theta/2)^a * cos(theta/2)^b times the Jacobi
-    polynomial P_k0^(a, b)(cos theta).
+    polynomial P_k0^(a, b)(cos theta).  :func:`rotation_log_column` keeps
+    the powers as logarithms, so elements that underflow stay exact to
+    rounding.
     """
     kp = np.asarray(kp, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -116,36 +121,38 @@ def _y_rotation_exponents(n: int, kp, k):
     return k0, a, b, 0.5 * (log_c1 - log_c2), sign
 
 
-def _y_rotation_elements(n: int, kp, k, theta: float):
-    """Matrix elements <kp| exp(-i S^y theta / 2) |k> for an N-atom ensemble.
+@lru_cache(maxsize=16)
+def _sx_eigenvectors(n_atoms: int) -> np.ndarray:
+    """Eigenvectors of the real tridiagonal S^x, ordered by eigenvalue.
 
-    ``kp`` and ``k`` are broadcastable arrays of Fock indices.  The closed
-    form is an alternating factorial sum; summed literally it cancels
-    catastrophically (the largest term exceeds the result by ~2^(N/2), which
-    exhausts double precision near N ~ 100).  The same polynomial is
-    therefore evaluated through its Jacobi-polynomial representation with
-    log-gamma prefactors.  Tests pin the equivalence against both the
-    literal sum and a dense matrix exponential.  The form still drifts from
-    unit column norm as N grows: at theta = pi the largest deviation of a
-    column's squared norm from 1 is 1.2e-12 at N = 100, 1.35e-12 at
-    N = 200 and 8.0e-12 at N = 300, past the 1e-12 check of
-    :class:`EnsembleState` (ROADMAP item 2 plans an exact-diagonalization
-    replacement).
+    The eigenvalues are those of S^z, -N, -N + 2, ..., N, in ascending order.
     """
-    k0, a, b, log_prefactor, sign = _y_rotation_exponents(n, kp, k)
-    prefactor = np.exp(log_prefactor)
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    sin_pow = np.where(a == 0, 1.0, s ** a)
-    cos_pow = np.where(b == 0, 1.0, c ** b)
-    return sign * prefactor * sin_pow * cos_pow * eval_jacobi(k0, a, b, math.cos(theta))
+    k = np.arange(n_atoms)
+    _, vecs = eigh_tridiagonal(np.zeros(n_atoms + 1), np.sqrt((k + 1.0) * (n_atoms - k)))
+    vecs.setflags(write=False)
+    return vecs
 
 
 def y_rotation_matrix(n_atoms: int, theta: float) -> np.ndarray:
-    """Real orthogonal matrix with [kp, k] = <kp| exp(-i S^y theta/2) |k>."""
+    """Real orthogonal matrix with [kp, k] = <kp| exp(-i S^y theta/2) |k>.
+
+    S^y = P S^x P^dagger with P = diag((-i)^k), so with S^x = V diag(lam) V^T
+    the element is Re[(-i)^(kp - k) (V diag(exp(-i lam theta/2)) V^T)[kp, k]]
+    (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)).  The cosine part
+    couples only even kp - k and the sine part only odd kp - k, so each is
+    one real matrix product read on its own parity.  Orthogonal to rounding
+    at every N, with absolute (not relative) accuracy in the tails.
+    """
     if n_atoms < 1:
         raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
+    vecs = _sx_eigenvectors(n_atoms)
     kk = np.arange(n_atoms + 1)
-    return _y_rotation_elements(n_atoms, kk[:, None], kk[None, :], theta)
+    half = 0.5 * theta * (2.0 * kk - n_atoms)
+    q = (kk[:, None] - kk[None, :]) % 4
+    # Re[(-i)^q (C - i S)] is C, -S, -C, S for q = 0, 1, 2, 3.
+    part = np.where(q % 2 == 0, (vecs * np.cos(half)) @ vecs.T,
+                    (vecs * np.sin(half)) @ vecs.T)
+    return np.where((q == 1) | (q == 2), -part, part)
 
 
 def rotation_log_column(
@@ -175,26 +182,3 @@ def rotation_log_column(
         )
     z_phase = np.exp(-1j * (2 * kp - n_atoms) * spec.phi / 2.0)
     return z_phase * sign * np.sign(jacobi), log_moduli
-
-
-def spin_expectations(state) -> tuple[float, float, float]:
-    """(<S^x>, <S^y>, <S^z>) of a (not necessarily normalized) state.
-
-    ``state`` is an :class:`EnsembleState` or its amplitude vector.  Uses the
-    ladder structure directly instead of dense matrices; the tiny imaginary
-    residue of the Hermitian expectations is discarded.
-    """
-    amps = state.amplitudes if isinstance(state, EnsembleState) else np.asarray(state)
-    n = amps.shape[0] - 1
-    weights = np.abs(amps) ** 2
-    norm2 = float(np.sum(weights))
-    if not norm2 >= 1e-24:
-        raise DegenerateStateError(
-            "spin expectations of a zero-norm or non-finite state"
-        )
-    k = np.arange(n)
-    # <S^+> accumulated over <k+1| S^+ |k> couplings (empty sum when n = 0).
-    up = np.sqrt((k + 1.0) * (n - k))
-    splus_exp = complex(np.sum(np.conj(amps[1:]) * up * amps[:-1]))
-    sz_exp = float(np.sum((2.0 * np.arange(n + 1) - n) * weights))
-    return 2.0 * splus_exp.real / norm2, 2.0 * splus_exp.imag / norm2, sz_exp / norm2

@@ -28,7 +28,6 @@ from .collective_spin import (
     EnsembleState,
     RotationSpec,
     rotation_log_column,
-    spin_expectations,
     y_rotation_matrix,
 )
 from .errors import (
@@ -144,39 +143,68 @@ def _alice_spec(spec: RotationSpec) -> RotationSpec:
     return RotationSpec(spec.theta, math.pi - spec.phi)
 
 
-def _rotated_populations(
-    resource: DiagonalPairState, theta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, D o D, P) with D = exp(-i S^y theta/2) and P = |psi|^2 (D o D).
+def _spin_moments(n, amps, phases, a, corrected):
+    """Unnormalized P and P (<S^x>, <S^y>, <S^z>) (last axis) of Bob's
+    states sum_k' g_k' a[k', c] |k'>, one per column c, g = amps * phases.
 
-    P_k is the probability of Alice's outcome k.  It sums to sum |psi|^2
-    only while D stays orthogonal, so the sum is checked within 1e-12.
+    ``phases`` has unit modulus and ``a`` is real, so with w = |amps|^2,
+    m = 2k' - n and f = sqrt((k'+1)(n-k')) every moment is a real quadratic
+    form in the columns of a:
+
+        P = w (a o a),    P <S^z> = (m w) (a o a),
+        P <S^+> = (f conj(g[1:]) g[:-1]) (a[1:] o a[:-1]).
+
+    Leading axes of ``amps``, ``phases`` and ``a`` (..., k', c) are rows,
+    each with Bob's atom number ``n`` (a scalar or one per row); a row is
+    zero-padded past its n.  Where ``corrected`` holds, Bob has applied
+    exp(-i S^z pi/2), which negates <S^x> and <S^y>.
     """
-    w = np.abs(resource.psi) ** 2
-    d = y_rotation_matrix(resource.n_atoms, theta)
-    d2 = d * d
-    probs = w @ d2
-    total, expected = float(np.sum(probs)), float(np.sum(w))
+    n = np.asarray(n, dtype=float)[..., None]
+    kp = np.arange(amps.shape[-1])
+    w = np.abs(amps) ** 2
+    g = amps * phases
+    f = np.sqrt(np.maximum((kp[:-1] + 1.0) * (n - kp[:-1]), 0.0))
+    coupling = f * np.conj(g[..., 1:]) * g[..., :-1]
+    forms = np.stack([w, (2 * kp - n) * w], axis=-2) @ (a * a)
+    s_plus = (coupling[..., None, :] @ (a[..., 1:, :] * a[..., :-1, :]))[..., 0, :]
+    s_plus = s_plus * (2.0 * np.where(corrected, -1.0, 1.0))
+    return forms[..., 0, :], np.stack(
+        [s_plus.real, s_plus.imag, forms[..., 1, :]], axis=-1
+    )
+
+
+def _branch_moments(resource: DiagonalPairState, theta: float, phases):
+    """(D, moments) of every branch k, D = exp(-i S^y theta/2) real.
+
+    Bob's branch k is sum_k' psi_k' phases_k' D[k', k] |k'>, corrected for
+    k < N/2; ``moments`` is :func:`_spin_moments` of it.  Sum_k P_k equals
+    sum |psi|^2 only while D stays orthogonal, so it is checked within 1e-12.
+    """
+    n = resource.n_atoms
+    d = y_rotation_matrix(n, theta)
+    moments = _spin_moments(n, resource.psi, phases, d, np.arange(n + 1) < n / 2)
+    total = float(np.sum(moments[0]))
+    expected = float(np.sum(np.abs(resource.psi) ** 2))
     if not abs(total - expected) <= _NORM_TOL:
         raise NumericalError(
-            f"outcome probabilities at N={resource.n_atoms}, theta={theta!r} "
+            f"outcome probabilities at N={n}, theta={theta!r} "
             f"sum to {total!r}, not {expected!r}: the rotation matrix has "
             "drifted from orthogonal"
         )
-    return d, d2, probs
+    return d, moments
 
 
 def _alice_conjugate_phases(resource: DiagonalPairState, spec: RotationSpec):
-    """g = psi times the conjugate z-phases of Alice's U(theta, pi - phi).
+    """The conjugate z-phases of Alice's U(theta, pi - phi) on her labels k'.
 
     Projecting Alice on <k| after U^dagger leaves Bob with
-    sum_k' g_k' D[k', k] |k'>, D the real y-rotation.  The resource must be
-    frame-rotated.
+    sum_k' psi_k' phases_k' D[k', k] |k'>, D the real y-rotation.  The
+    resource must be frame-rotated.
     """
     if not resource.frame_rotated:
         raise ContractViolationError("the protocol requires a frame-rotated resource")
     m = 2 * np.arange(resource.n_atoms + 1) - resource.n_atoms
-    return resource.psi * np.exp(1j * m * _alice_spec(spec).phi / 2.0)
+    return np.exp(1j * m * _alice_spec(spec).phi / 2.0)
 
 
 def run_protocol(
@@ -188,33 +216,20 @@ def run_protocol(
     the 2A2S state needs the explicit phase rotation, the spin-EPR state is
     constructed frame-ready.
 
-    Bob's branch k is sum_k' g_k' D[k', k] |k'> (see
-    :func:`_alice_conjugate_phases`), times exp(-i S^z pi/2) when k < N/2.
-    Its statistics are therefore real quadratic forms in D: with
-    w = |psi|^2, m = 2k' - N and f = sqrt((k'+1)(N-k')),
-
-        P = w (D o D),    P <S^z> = (m w) (D o D),
-        P <S^+> = +-(f conj(g[1:]) g[:-1]) (D[1:] o D[:-1]),
-
-    the sign negative on the corrected branches, whose correction flips
-    S^+.  In the ideal (spin-EPR) protocol outcome k leaves Bob's spins at
+    Bob's branch k is sum_k' psi_k' phases_k' D[k', k] |k'> (see
+    :func:`_alice_conjugate_phases`), times exp(-i S^z pi/2) when k < N/2,
+    and its statistics are the quadratic forms of :func:`_spin_moments`.
+    In the ideal (spin-EPR) protocol outcome k leaves Bob's spins at
     |2k - N| (sin theta cos phi, sin theta sin phi) transverse and
     (2k - N) cos theta along z: outcomes k >= N/2 prepare the rotated Fock
     state |k> at (theta, phi), outcomes k < N/2 the one at (theta, phi + pi).
     """
-    g = _alice_conjugate_phases(resource, spec)
+    phases = _alice_conjugate_phases(resource, spec)
     n = resource.n_atoms
-    d, d2, probs = _rotated_populations(resource, spec.theta)
-    kk = np.arange(n + 1)
-    m = 2 * kk - n
-    corrected = kk < n / 2
-    coupling = np.sqrt((kk[:-1] + 1.0) * (n - kk[:-1])) * np.conj(g[1:]) * g[:-1]
-    sx, sy = (2.0 * np.where(corrected, -1.0, 1.0)) * (
-        np.stack([coupling.real, coupling.imag]) @ (d[1:] * d[:-1])
-    )
-    sz = (m * np.abs(resource.psi) ** 2) @ d2
+    probs, moments = _branch_moments(resource, spec.theta, phases)[1]
     defined = probs >= _ZERO_PROBABILITY
-    spins = np.stack([sx, sy, sz], axis=1) / np.where(defined, probs, 1.0)[:, None]
+    spins = moments / np.where(defined, probs, 1.0)[:, None]
+    m = 2 * np.arange(n + 1) - n
     length = np.abs(m) * math.sin(spec.theta)
     ideal = np.stack(
         [length * math.cos(spec.phi), length * math.sin(spec.phi),
@@ -224,9 +239,9 @@ def run_protocol(
     errors = np.linalg.norm(spins - ideal, axis=1) / (2.0 * n)
     return [
         ProtocolOutcome(k, float(probs[k]), tuple(spins[k].tolist()),
-                        float(errors[k]), bool(corrected[k]))
+                        float(errors[k]), k < n / 2)
         if defined[k]
-        else ProtocolOutcome(k, 0.0, None, None, bool(corrected[k]))
+        else ProtocolOutcome(k, 0.0, None, None, k < n / 2)
         for k in range(n + 1)
     ]
 
@@ -238,7 +253,7 @@ def outcome_probabilities(resource: DiagonalPairState, theta: float) -> np.ndarr
     Independent of phi and of any diagonal phases on the resource (in
     particular of whether the frame rotation was applied).
     """
-    return _rotated_populations(resource, theta)[2]
+    return _branch_moments(resource, theta, 1.0)[1][0]
 
 
 def branch_state(
@@ -250,18 +265,18 @@ def branch_state(
     caller needs the state itself.  Raises :class:`UndefinedOutcomeError`
     for a branch below the zero-probability cut.
     """
-    g = _alice_conjugate_phases(resource, spec)
+    phases = _alice_conjugate_phases(resource, spec)
     n = resource.n_atoms
     if not 0 <= k <= n:
         raise DomainError(f"k must lie in [0, {n}], got {k}")
-    d, _, probs = _rotated_populations(resource, spec.theta)
+    d, (probs, _) = _branch_moments(resource, spec.theta, phases)
     p = float(probs[k])
     if not p >= _ZERO_PROBABILITY:
         raise UndefinedOutcomeError(
             f"outcome k={k} has zero probability at N={n}, "
             f"theta={spec.theta!r}, phi={spec.phi!r}"
         )
-    amps = g * d[:, k]
+    amps = resource.psi * phases * d[:, k]
     if k < n / 2:
         amps *= np.exp(-1j * (2 * np.arange(n + 1) - n) * math.pi / 2.0)
     return EnsembleState(n, amps / math.sqrt(p))
@@ -301,61 +316,48 @@ def postselected_error(
 # that tridiagonal problem, shared with the resource's N_A = N_B case.
 
 
-def _alice_log_column(n_a: int, k: int, spec: RotationSpec):
-    """Conj of column k of Alice's rotation U(theta, pi - phi) as (phases,
-    log-moduli), or None for the trivial rotation of an empty ensemble."""
-    if n_a == 0:
-        return None
-    phases, log_moduli = rotation_log_column(n_a, k, _alice_spec(spec))
-    return np.conj(phases), log_moduli
+def _evolved_rows(n_a: int, n_bs: np.ndarray, tau: float) -> np.ndarray:
+    """The evolved pairs (N_A, N_B) for each N_B in ``n_bs``, in the
+    rotated frame of both ensembles, one zero-padded row per N_B.
 
-
-def _pair_branch(
-    n_a: int,
-    n_b: int,
-    tau: float,
-    k: int,
-    alice_column,
-):
-    """Bob spin triple and branch probability for one (N_A, N_B) shot.
-
-    ``alice_column`` comes from :func:`_alice_log_column`.  Returns (spins,
-    probability) with spins None on a zero-probability branch.
-
-    The branch is scaled by the largest Alice amplitude it can reach before
-    the zero-probability cut is applied.  The cut thus weighs the squeezed
-    amplitudes, whose rounding errors are absolute, and not the powers of
-    sin(theta/2) and cos(theta/2) in Alice's column, which are exact to
-    rounding: near theta = pi a shot with N_B < N_A reaches only Alice
-    amplitudes of order cos(theta/2)^(N_A - N_B), yet its conditional state
-    is well defined.  The returned probability may underflow to 0.0 for such
-    a shot while its spins are still defined.
+    Row entry k_b = N_B - d holds the amplitude on |N_A - d, N_B - d>.
     """
-    d = np.arange(min(n_a, n_b) + 1)
-    k_a = n_a - d
-    k_b = n_b - d
-    # The evolved pair in the rotated frame of both ensembles.
-    frame = np.exp(1j * ((2 * k_a - n_a) + (2 * k_b - n_b)) * math.pi / 8.0)
-    c = evolve_pair(n_a, n_b, tau) * frame
-    if alice_column is None:
-        branch = c
-        log_scale = 0.0
-    else:
-        phases, log_moduli = alice_column
-        reachable = log_moduli[k_a]
-        log_scale = float(np.max(reachable))
-        if log_scale == -math.inf:
-            return None, 0.0
-        branch = c * phases[k_a] * np.exp(reachable - log_scale)
-    if k < n_a / 2:
-        branch *= np.exp(-1j * (2 * k_b - n_b) * math.pi / 2.0)
-    p = float(np.sum(np.abs(branch) ** 2))
-    if p < _ZERO_PROBABILITY:
-        return None, 0.0
-    bob = np.zeros(n_b + 1, dtype=complex)
-    bob[k_b] = branch
-    spins = spin_expectations(bob)
-    return spins, p * math.exp(2.0 * log_scale)
+    amps = np.zeros((len(n_bs), int(np.max(n_bs, initial=0)) + 1), dtype=complex)
+    for row, n_b in zip(amps, n_bs):
+        d = np.arange(min(n_a, n_b) + 1)
+        k_a, k_b = n_a - d, n_b - d
+        frame = np.exp(1j * ((2 * k_a - n_a) + (2 * k_b - n_b)) * math.pi / 8.0)
+        row[k_b] = evolve_pair(n_a, int(n_b), tau) * frame
+    return amps
+
+
+def _pair_spins(n_a: int, n_bs: np.ndarray, amps: np.ndarray, k: int,
+                spec: RotationSpec):
+    """(spins, probability, defined, log_scale) per row of
+    :func:`_evolved_rows` for Alice's outcome k.
+
+    Each row is scaled by exp(-log_scale), the largest Alice amplitude it
+    can reach, before the zero-probability cut.  The cut thus weighs the
+    squeezed amplitudes, whose rounding errors are absolute, and not the
+    powers of sin(theta/2) and cos(theta/2) in Alice's column, which are
+    exact to rounding: near theta = pi a shot with N_B < N_A reaches only
+    Alice amplitudes of order cos(theta/2)^(N_A - N_B), yet its conditional
+    state is well defined.
+    """
+    phases, log_moduli = rotation_log_column(n_a, k, _alice_spec(spec))
+    k_b = np.arange(amps.shape[1])
+    k_a = n_a - n_bs[:, None] + k_b
+    reach = (k_a >= 0) & (k_b <= n_bs[:, None])
+    k_a = np.clip(k_a, 0, n_a)
+    logs = np.where(reach, log_moduli[k_a], -np.inf)
+    top = np.max(logs, axis=1, initial=-np.inf)
+    log_scale = np.where(top > -np.inf, top, 0.0)
+    a = np.exp(logs - log_scale[:, None])
+    p, moments = (x[:, 0] for x in _spin_moments(
+        n_bs, amps, np.conj(phases[k_a]), a[..., None], k < n_a / 2
+    ))
+    defined = p >= _ZERO_PROBABILITY
+    return moments / np.where(defined, p, 1.0)[:, None], p, defined, log_scale
 
 
 def pair_conditional_spins(
@@ -374,13 +376,20 @@ def pair_conditional_spins(
         raise DomainError("atom numbers must be non-negative")
     if not 0 <= k <= n_a:
         raise DomainError(f"k must lie in [0, {n_a}], got {k}")
-    return _pair_branch(n_a, n_b, tau, k, _alice_log_column(n_a, k, spec))
+    n_bs = np.array([n_b])
+    spins, p, defined, log_scale = _pair_spins(
+        n_a, n_bs, _evolved_rows(n_a, n_bs, tau), k, spec
+    )
+    if not defined[0]:
+        return None, 0.0
+    return tuple(spins[0].tolist()), float(p[0]) * math.exp(2.0 * log_scale[0])
 
 
 def fluctuating_spin_averages(
-    fspec: FluctuationSpec, spec: RotationSpec, tau: float
-) -> FluctuationResult:
-    """Per-atom Bob spin averages under Gaussian atom-number fluctuations.
+    fspec: FluctuationSpec, specs: Sequence[RotationSpec], tau: float
+) -> list[FluctuationResult]:
+    """Per-atom Bob spin averages under Gaussian atom-number fluctuations,
+    one :class:`FluctuationResult` per target in ``specs``.
 
     Both atom numbers are drawn independently from the truncated Gaussian;
     each (N_A, N_B) term contributes weight p(N_A) p(N_B) times its
@@ -388,9 +397,10 @@ def fluctuating_spin_averages(
     chosen by ``fspec.outcome_rule`` and a common squeezing time tau.
     Zero-probability branches and empty Bob ensembles contribute nothing;
     fixed-rule outcomes exceeding a shot's N_A are skipped and counted.
+    Each pair is evolved once per call, whatever the number of targets.
 
     A branch counts as zero-probability only when it vanishes next to the
-    largest Alice amplitude it can reach (see ``_pair_branch``), not when
+    largest Alice amplitude it can reach (see ``_pair_spins``), not when
     its probability is merely small.  Near theta = pi the N_B < N_A shots
     have probabilities of order cos(theta/2)^(2 (N_A - N_B)) but keep their
     full weight, so the average is continuous in theta.  At theta = pi with
@@ -401,19 +411,21 @@ def fluctuating_spin_averages(
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     ns, weights = fspec.support()
-    acc = np.zeros(3)
+    bob = ns > 0  # an empty ensemble carries no Bloch vector
+    n_bs, per_atom = ns[bob], weights[bob] / ns[bob]
+    acc = np.zeros((len(specs), 3))
     skipped = 0
     for w_a, n_a in zip(weights, ns):
-        k = fspec.outcome_for(int(n_a))
+        n_a = int(n_a)
+        k = fspec.outcome_for(n_a)
         if k > n_a:
             skipped += len(ns)
             continue
-        alice_column = _alice_log_column(int(n_a), k, spec)
-        for w_b, n_b in zip(weights, ns):
-            if n_b == 0:
-                continue  # an empty ensemble carries no Bloch vector
-            spins, _ = _pair_branch(int(n_a), int(n_b), tau, k, alice_column)
-            if spins is None:
-                continue
-            acc += (w_a * w_b / n_b) * np.asarray(spins)
-    return FluctuationResult((float(acc[0]), float(acc[1]), float(acc[2])), skipped)
+        amps = _evolved_rows(n_a, n_bs, tau)
+        for total, spec in zip(acc, specs):
+            spins, _, defined, _ = _pair_spins(n_a, n_bs, amps, k, spec)
+            total += w_a * (per_atom[defined] @ spins[defined])
+    return [
+        FluctuationResult((float(x), float(y), float(z)), skipped)
+        for x, y, z in acc
+    ]

@@ -6,14 +6,18 @@ Everything here is built by a different route than the library code:
   projected onto the permutation-symmetric (Dicke) subspace;
 - rotations from dense matrix exponentials;
 - the rotation matrix element also from the literal alternating
-  factorial sum (the textbook closed form);
+  factorial sum (the textbook closed form), in floating point for small N
+  and in mpmath at high precision for large N, and from its Jacobi-
+  polynomial representation;
 - two-ensemble evolution and the full protocol in the dense joint space;
 - Wigner 3j symbols from Clebsch-Gordan coefficients constructed by
   highest-weight states and lowering operators.
 
 Tests compare the fast library implementations against these oracles.  The
 per-branch protocol loop rebuilds every branch as its own state, with the
-ideal outcome and its error taken one branch at a time.  The dense operator
+ideal outcome and its error taken one branch at a time; the per-pair
+fluctuation loop evolves and reads every (N_A, N_B) shot on its own for one
+target, with Bob's spins from :func:`spin_expectations`.  The dense operator
 and rotation helpers at the end are not oracles: only tests use them,
 so they live here rather than in the library.
 """
@@ -25,18 +29,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import eval_jacobi
 
 from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
-    _y_rotation_elements,
-    spin_expectations,
+    _y_rotation_exponents,
+    rotation_log_column,
     y_rotation_matrix,
 )
-from spinrsp.errors import DomainError, UndefinedOutcomeError
-from spinrsp.squeezing import DiagonalPairState
+from spinrsp.errors import DegenerateStateError, DomainError, UndefinedOutcomeError
+from spinrsp.protocol import FluctuationResult, FluctuationSpec
+from spinrsp.squeezing import DiagonalPairState, evolve_pair
 
 
 # --- collective operators from first principles ---------------------------
@@ -122,6 +129,44 @@ def alternating_sum_rotation(n: int, theta: float) -> np.ndarray:
                 )
             out[kp, k] = total
     return out
+
+
+def mpmath_rotation_element(n: int, kp: int, k: int, theta: float) -> float:
+    """<kp| exp(-i Sy theta/2) |k> by the literal alternating sum in mpmath.
+
+    The same sum as :func:`alternating_sum_rotation`, with exact integer
+    factorials and enough digits to absorb its ~2^n cancellation; theta is
+    taken as the given double.
+    """
+    with mpmath.workdps(n // 3 + 40):
+        half = mpmath.mpf(theta) / 2
+        c, s = mpmath.cos(half), mpmath.sin(half)
+        total = mpmath.mpf(0)
+        for m in range(max(0, k + kp - n), min(k, kp) + 1):
+            den = (math.factorial(m) * math.factorial(k - m)
+                   * math.factorial(kp - m) * math.factorial(n - k - kp + m))
+            total += ((-1) ** (kp - m) * c ** (2 * m + n - k - kp)
+                      * s ** (k + kp - 2 * m) / den)
+        root = mpmath.sqrt(math.factorial(k) * math.factorial(n - k)
+                           * math.factorial(kp) * math.factorial(n - kp))
+        return float(total * root)
+
+
+def jacobi_rotation_elements(n: int, kp, k, theta: float):
+    """<kp| exp(-i S^y theta / 2) |k> from the closed form's Jacobi-polynomial
+    representation with log-gamma prefactors (broadcastable kp, k).
+
+    Exact to rounding relative to each element, but it drifts from unit
+    column norm as N grows: at theta = pi the largest deviation of a
+    column's squared norm from 1 is 1.2e-12 at N = 100 and 8.0e-12 at
+    N = 300.
+    """
+    k0, a, b, log_prefactor, sign = _y_rotation_exponents(n, kp, k)
+    prefactor = np.exp(log_prefactor)
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    sin_pow = np.where(a == 0, 1.0, s ** a)
+    cos_pow = np.where(b == 0, 1.0, c ** b)
+    return sign * prefactor * sin_pow * cos_pow * eval_jacobi(k0, a, b, math.cos(theta))
 
 
 # --- joint-space brute force -----------------------------------------------
@@ -499,11 +544,12 @@ def rotation_matrix(n_atoms: int, spec: RotationSpec) -> np.ndarray:
 
 
 def y_rotation_column(n_atoms: int, k: int, theta: float) -> np.ndarray:
-    """Column k of ``y_rotation_matrix`` without building the matrix."""
+    """Column k of ``y_rotation_matrix`` from the closed form, without
+    building the matrix."""
     if not 0 <= k <= n_atoms:
         raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
     kk = np.arange(n_atoms + 1)
-    return _y_rotation_elements(n_atoms, kk, float(k), theta)
+    return jacobi_rotation_elements(n_atoms, kk, float(k), theta)
 
 
 def rotation_column(n_atoms: int, k: int, spec: RotationSpec) -> np.ndarray:
@@ -521,3 +567,107 @@ def rotated_fock_state(n_atoms: int, k: int, spec: RotationSpec) -> EnsembleStat
 def state_norm(state: EnsembleState) -> float:
     """Euclidean norm of a state's amplitude vector."""
     return float(np.linalg.norm(state.amplitudes))
+
+
+def spin_expectations(state) -> tuple[float, float, float]:
+    """(<S^x>, <S^y>, <S^z>) of a (not necessarily normalized) state.
+
+    ``state`` is an :class:`EnsembleState` or its amplitude vector.  Uses the
+    ladder structure directly instead of dense matrices; the tiny imaginary
+    residue of the Hermitian expectations is discarded.
+    """
+    amps = state.amplitudes if isinstance(state, EnsembleState) else np.asarray(state)
+    n = amps.shape[0] - 1
+    weights = np.abs(amps) ** 2
+    norm2 = float(np.sum(weights))
+    if not norm2 >= 1e-24:
+        raise DegenerateStateError(
+            "spin expectations of a zero-norm or non-finite state"
+        )
+    k = np.arange(n)
+    # <S^+> accumulated over <k+1| S^+ |k> couplings (empty sum when n = 0).
+    up = np.sqrt((k + 1.0) * (n - k))
+    splus_exp = complex(np.sum(np.conj(amps[1:]) * up * amps[:-1]))
+    sz_exp = float(np.sum((2.0 * np.arange(n + 1) - n) * weights))
+    return 2.0 * splus_exp.real / norm2, 2.0 * splus_exp.imag / norm2, sz_exp / norm2
+
+
+# --- atom-number fluctuations one pair at a time ------------------------------
+
+
+def _alice_log_column(n_a: int, k: int, spec: RotationSpec):
+    """Conj of column k of Alice's rotation U(theta, pi - phi) as (phases,
+    log-moduli), or None for the trivial rotation of an empty ensemble."""
+    if n_a == 0:
+        return None
+    phases, log_moduli = rotation_log_column(
+        n_a, k, RotationSpec(spec.theta, math.pi - spec.phi)
+    )
+    return np.conj(phases), log_moduli
+
+
+def _pair_branch(
+    n_a: int,
+    n_b: int,
+    tau: float,
+    k: int,
+    alice_column,
+):
+    """Bob spin triple and branch probability for one (N_A, N_B) shot.
+
+    ``alice_column`` comes from :func:`_alice_log_column`.  Returns (spins,
+    probability) with spins None on a zero-probability branch.  The branch
+    is scaled by the largest Alice amplitude it can reach before the 1e-14
+    cut is applied, and Bob's state is a vector of its own.
+    """
+    d = np.arange(min(n_a, n_b) + 1)
+    k_a = n_a - d
+    k_b = n_b - d
+    # The evolved pair in the rotated frame of both ensembles.
+    frame = np.exp(1j * ((2 * k_a - n_a) + (2 * k_b - n_b)) * math.pi / 8.0)
+    c = evolve_pair(n_a, n_b, tau) * frame
+    if alice_column is None:
+        branch = c
+        log_scale = 0.0
+    else:
+        phases, log_moduli = alice_column
+        reachable = log_moduli[k_a]
+        log_scale = float(np.max(reachable))
+        if log_scale == -math.inf:
+            return None, 0.0
+        branch = c * phases[k_a] * np.exp(reachable - log_scale)
+    if k < n_a / 2:
+        branch *= np.exp(-1j * (2 * k_b - n_b) * math.pi / 2.0)
+    p = float(np.sum(np.abs(branch) ** 2))
+    if p < 1e-14:
+        return None, 0.0
+    bob = np.zeros(n_b + 1, dtype=complex)
+    bob[k_b] = branch
+    spins = spin_expectations(bob)
+    return spins, p * math.exp(2.0 * log_scale)
+
+
+def loop_fluctuating_spin_averages(
+    fspec: FluctuationSpec, spec: RotationSpec, tau: float
+) -> FluctuationResult:
+    """The fluctuation average for one target, pair by pair: every
+    (N_A, N_B) shot is evolved and read on its own."""
+    if tau < 0:
+        raise DomainError(f"tau must be >= 0, got {tau}")
+    ns, weights = fspec.support()
+    acc = np.zeros(3)
+    skipped = 0
+    for w_a, n_a in zip(weights, ns):
+        k = fspec.outcome_for(int(n_a))
+        if k > n_a:
+            skipped += len(ns)
+            continue
+        alice_column = _alice_log_column(int(n_a), k, spec)
+        for w_b, n_b in zip(weights, ns):
+            if n_b == 0:
+                continue  # an empty ensemble carries no Bloch vector
+            spins, _ = _pair_branch(int(n_a), int(n_b), tau, k, alice_column)
+            if spins is None:
+                continue
+            acc += (w_a * w_b / n_b) * np.asarray(spins)
+    return FluctuationResult((float(acc[0]), float(acc[1]), float(acc[2])), skipped)

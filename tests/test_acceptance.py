@@ -294,12 +294,13 @@ def test_criterion_8_fluctuation_robustness():
     )
     tau, _ = find_optimal_time(n)
     thetas = np.linspace(0.0, math.pi, 31)
+    specs = [RotationSpec(float(theta), phi) for theta in thetas]
+    results = fluctuating_spin_averages(fspec, specs, tau)
     averages = []
     direction_devs = []
     baseline_devs = []
-    for theta in thetas:
-        spec = RotationSpec(float(theta), phi)
-        averaged = np.array(fluctuating_spin_averages(fspec, spec, tau).spins)
+    for theta, spec, result in zip(thetas, specs, results):
+        averaged = np.array(result.spins)
         averages.append(averaged)
         spins, _ = pair_conditional_spins(n, n, tau, n, spec)
         baseline = np.asarray(spins) / n

@@ -356,6 +356,20 @@ class TestPhiAsBobRotation:
             assert 0.0 < float(row[4]) <= 1.0
 
 
+    def test_prob_dist_at_theta_pi_n1000(self, tmp_path):
+        # The closed-form rotation drifted 2.6e-10 from orthogonal at
+        # N = 1000, theta = pi, so this run failed the 1e-12 check on
+        # sum_k P_k; the eigenbasis rotation stays orthogonal to rounding.
+        out = tmp_path / "pd.csv"
+        assert run_main(
+            "prob-dist", "--n", "1000", "--tau", "0.5", "--theta", "pi:1",
+            "--out", str(out),
+        ) == 0
+        rows = read_rows(out, "theta,k,p")
+        assert len(rows) == 1001
+        assert sum(float(row[2]) for row in rows) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestOnePassPerTheta:
     """Every sweep row of one polar angle comes from one protocol run, and
     the branches are array columns rather than validated states."""
@@ -759,6 +773,10 @@ class TestGoldenFixtures:
             (
                 "error_vs_n_kcut0.csv",
                 ["error-sweep", "--n-list", "10,20,30", "--k-cut", "0"],
+            ),
+            (
+                "fluctuation_nbar20.csv",
+                ["fluctuation", "--nbar", "20", "--theta-nodes", "13"],
             ),
         ],
     )

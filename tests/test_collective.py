@@ -10,17 +10,19 @@ from oracles import (
     apply_operator,
     build_spin_operators,
     expm_rotation,
+    jacobi_rotation_elements,
+    mpmath_rotation_element,
     qubit_collective_operators,
     rotated_fock_state,
     rotation_column,
     rotation_matrix,
+    spin_expectations,
     state_norm,
 )
 from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
     rotation_log_column,
-    spin_expectations,
     y_rotation_matrix,
 )
 from spinrsp.errors import DegenerateStateError, DomainError
@@ -204,6 +206,30 @@ class TestRotationMatrix:
     def test_unitarity_large_n_spot(self):
         u = rotation_matrix(200, RotationSpec(2.2, 1.3))
         assert np.max(np.abs(u @ u.conj().T - np.eye(201))) < 1e-10
+
+    def test_orthogonal_at_n1000_theta_pi(self):
+        # The closed form drifted 2.6e-10 from orthogonal here.
+        d = y_rotation_matrix(1000, math.pi)
+        assert np.max(np.abs(d.T @ d - np.eye(1001))) <= 1e-13
+
+    def test_matches_mpmath_at_n300(self):
+        # The literal sum at high precision; the closed form missed it by
+        # 1.8e-14 to 1.9e-12 on these samples.
+        n = 300
+        rng = np.random.default_rng(7)
+        samples = rng.integers(0, n + 1, size=(60, 2))
+        for theta in (0.7, 2.0, 3.0):
+            d = y_rotation_matrix(n, theta)
+            exact = [mpmath_rotation_element(n, int(kp), int(k), theta)
+                     for kp, k in samples]
+            assert np.max(np.abs(d[samples[:, 0], samples[:, 1]] - exact)) <= 1e-14
+
+    def test_matches_closed_form_at_n200(self):
+        n = 200
+        kk = np.arange(n + 1)
+        for theta in (0.0, 0.3, 2.0):
+            closed = jacobi_rotation_elements(n, kk[:, None], kk[None, :], theta)
+            assert np.max(np.abs(y_rotation_matrix(n, theta) - closed)) <= 1e-13
 
 
 class TestRotatedFockState:

@@ -12,12 +12,14 @@ from oracles import (
     error_k,
     ideal_outcome,
     loop_average_error,
+    loop_fluctuating_spin_averages,
     loop_postselected_error,
     mean_outcome,
     per_branch_protocol,
     rotated_fock_state,
+    spin_expectations,
 )
-from spinrsp.collective_spin import RotationSpec, spin_expectations, y_rotation_matrix
+from spinrsp.collective_spin import RotationSpec, y_rotation_matrix
 from spinrsp.errors import (
     ContractViolationError,
     DomainError,
@@ -604,7 +606,7 @@ class TestFluctuatingSpinAverages:
         n, tau = 12, 0.18
         spec = RotationSpec(0.9, -math.pi / 4)
         fspec = FluctuationSpec(n, 1e-9)
-        result = fluctuating_spin_averages(fspec, spec, tau)
+        (result,) = fluctuating_spin_averages(fspec, [spec], tau)
         assert result.skipped_terms == 0
         spins, _ = pair_conditional_spins(n, n, tau, n, spec)
         np.testing.assert_allclose(result.spins, np.asarray(spins) / n, atol=1e-14)
@@ -617,14 +619,14 @@ class TestFluctuatingSpinAverages:
         fspec = FluctuationSpec(10, 0.5, outcome_rule=10)
         ns, _ = fspec.support()
         too_small = int(np.sum(ns < 10))
-        result = fluctuating_spin_averages(fspec, RotationSpec(0.7, 0.0), 0.1)
+        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(0.7, 0.0)], 0.1)
         assert result.skipped_terms == too_small * len(ns)
         assert all(math.isfinite(s) for s in result.spins)
 
     def test_all_shots_skipped(self):
         fspec = FluctuationSpec(10, 0.5, outcome_rule=50)
         ns, _ = fspec.support()
-        result = fluctuating_spin_averages(fspec, RotationSpec(0.7, 0.0), 0.1)
+        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(0.7, 0.0)], 0.1)
         assert result.skipped_terms == len(ns) ** 2
         assert result.spins == (0.0, 0.0, 0.0)
 
@@ -632,14 +634,14 @@ class TestFluctuatingSpinAverages:
         fspec = FluctuationSpec(1, 0.5)
         ns, _ = fspec.support()
         assert ns[0] == 0
-        result = fluctuating_spin_averages(fspec, RotationSpec(1.0, 0.3), 0.2)
+        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(1.0, 0.3)], 0.2)
         assert result.skipped_terms == 0
         assert all(math.isfinite(s) for s in result.spins)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(DomainError):
             fluctuating_spin_averages(
-                FluctuationSpec(5, 1.0), RotationSpec(0.1, 0.0), -0.1
+                FluctuationSpec(5, 1.0), [RotationSpec(0.1, 0.0)], -0.1
             )
 
     def test_matches_dense_joint_oracle(self):
@@ -661,7 +663,9 @@ class TestFluctuatingSpinAverages:
                     )
                     assert spins is not None
                     expected += w_a * w_b * np.asarray(spins) / n_b
-            result = fluctuating_spin_averages(fspec, RotationSpec(theta, phi), tau)
+            (result,) = fluctuating_spin_averages(
+                fspec, [RotationSpec(theta, phi)], tau
+            )
             np.testing.assert_allclose(result.spins, expected, atol=1e-10)
 
     def test_continuous_into_theta_pi(self):
@@ -678,13 +682,51 @@ class TestFluctuatingSpinAverages:
             if n_b > 0
         )
         tau = 0.17
-        at_pole = fluctuating_spin_averages(fspec, RotationSpec(math.pi, 0.3), tau)
+        (at_pole,) = fluctuating_spin_averages(
+            fspec, [RotationSpec(math.pi, 0.3)], tau
+        )
         np.testing.assert_allclose(at_pole.spins, (0.0, 0.0, z), atol=1e-12)
         for eps in (1e-3, 1e-6):
-            near = fluctuating_spin_averages(
-                fspec, RotationSpec(math.pi - eps, 0.3), tau
+            (near,) = fluctuating_spin_averages(
+                fspec, [RotationSpec(math.pi - eps, 0.3)], tau
             )
             np.testing.assert_allclose(near.spins, at_pole.spins, atol=10 * eps)
+
+    @pytest.mark.parametrize("rule", ["highest", "lowest", 4])
+    def test_matches_per_pair_oracle(self, rule):
+        # Supports 0..9 and 0..16 hold empty ensembles; rule 4 skips the
+        # shots with N_A < 4.
+        thetas = (0.0, 0.5, math.pi / 2, 3.0, math.pi - 1e-6, math.pi)
+        specs = [RotationSpec(theta, -0.7) for theta in thetas]
+        for mean, sigma0 in ((3, 1.5), (8, 2.0)):
+            fspec = FluctuationSpec(mean, sigma0, outcome_rule=rule)
+            for tau in (0.05, 0.3, find_optimal_time(mean)[0]):
+                results = fluctuating_spin_averages(fspec, specs, tau)
+                assert len(results) == len(specs)
+                for spec, result in zip(specs, results):
+                    ref = loop_fluctuating_spin_averages(fspec, spec, tau)
+                    assert result.skipped_terms == ref.skipped_terms
+                    np.testing.assert_allclose(
+                        result.spins, ref.spins, rtol=0, atol=1e-13
+                    )
+
+    def test_evolves_each_pair_once(self, monkeypatch):
+        calls = []
+        evolve = spinrsp.protocol.evolve_pair
+
+        def counted(n_a, n_b, tau):
+            calls.append((n_a, n_b))
+            return evolve(n_a, n_b, tau)
+
+        monkeypatch.setattr(spinrsp.protocol, "evolve_pair", counted)
+        fspec = FluctuationSpec(10, 1.0)
+        ns, _ = fspec.support()
+        assert ns[0] > 0
+        specs = [RotationSpec(theta, 0.4) for theta in (0.0, 0.6, 1.5, 2.5, math.pi)]
+        results = fluctuating_spin_averages(fspec, specs, 0.1)
+        assert len(results) == 5
+        assert len(calls) == len(ns) ** 2
+        assert len(set(calls)) == len(ns) ** 2
 
     def test_moderate_width_tracks_target_direction(self):
         # Highest-outcome shots point Bob along (theta, phi) with per-atom
@@ -692,7 +734,7 @@ class TestFluctuatingSpinAverages:
         theta, phi = math.pi / 2, -math.pi / 4
         fspec = FluctuationSpec(12, math.sqrt(12) / 2.0)
         tau, _ = find_optimal_time(12)
-        result = fluctuating_spin_averages(fspec, RotationSpec(theta, phi), tau)
+        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(theta, phi)], tau)
         target = np.array(
             [
                 math.sin(theta) * math.cos(phi),
