@@ -504,16 +504,15 @@ def _run_spin_sweep(p) -> tuple[str, dict]:
 def _run_wigner_map(p) -> tuple[str, dict]:
     n, k = p["n"], p["k"]
     _check_outcome(k, n)
-    if p["theta_nodes"] is not None and p["theta_nodes"] < 2 * n + 2:
-        raise UsageError(f"--theta-nodes: need at least {2 * n + 2} for N={n}")
-    if p["phi_nodes"] is not None and p["phi_nodes"] < 4 * n + 2:
-        raise UsageError(f"--phi-nodes: need at least {4 * n + 2} for N={n}")
     resource = (epr_minus(n) if p["resource"] == "epr"
                 else squeezing_run(n, p["tau"]))
-    state = branch_state(resource, RotationSpec(p["theta"], p["phi"]), k)
-    sphere = wigner_map(
-        angular_state_from_ensemble(state), p["theta_nodes"], p["phi_nodes"]
+    state = angular_state_from_ensemble(
+        branch_state(resource, RotationSpec(p["theta"], p["phi"]), k)
     )
+    try:
+        sphere = wigner_map(state, p["theta_nodes"], p["phi_nodes"])
+    except DomainError as exc:  # a node count below the exactness bound
+        raise UsageError(f"--theta-nodes/--phi-nodes: {exc}") from exc
     rows = [
         (float(sphere.theta[i]), float(sphere.phi[j]), float(sphere.values[i, j]))
         for i in range(len(sphere.theta))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, sph_harm_y
+from scipy.special import gammaln, sph_harm_y, sph_harm_y_all
 
 from .collective_spin import EnsembleState
 from .errors import DomainError, NumericalError
@@ -171,6 +171,63 @@ def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
     return sph_harm_y(k, q, theta, phi)
 
 
+@lru_cache(maxsize=16)
+def _log_factorials(two_j: int) -> np.ndarray:
+    """log(n!) at index n, for every n a rank table of spin j reads.
+
+    Made of the same scalar calls as ``lf`` in :func:`_wigner_3j_doubled`,
+    so both evaluate the Racah sum from identical logarithms.
+    """
+    table = np.array([float(gammaln(d / 2 + 1)) for d in range(0, 4 * two_j + 4, 2)])
+    table.setflags(write=False)
+    return table
+
+
+def _rank_3j(two_j: int, k: int) -> np.ndarray:
+    """3j(j k j; -m, q, m - q) as a (2k + 1, 2j + 1) table at [q + k, j + m].
+
+    Entries with m - q outside [-j, j] are 0.0.  The rest repeat the
+    floating-point operations of :func:`_wigner_3j_doubled` in the same
+    order, one (q, m) lane per entry: each lane walks its own t range
+    upwards with its own Kahan state.  The alternating sum cancels
+    heavily, so anything less would move the symbols in their last bits.
+    """
+    lf = _log_factorials(two_j)
+    dim = two_j + 1
+    q, i = np.divmod(np.arange((2 * k + 1) * dim), dim)
+    q -= k
+    lanes = np.flatnonzero((i >= q) & (i - q <= two_j))
+    q, i = q[lanes], i[lanes]
+    # With i = j + m, the scalar's lf(d) reads lf[d // 2] at these indices.
+    log_delta = 0.5 * (lf[k] + lf[two_j - k] + lf[k] - lf[two_j + k + 1])
+    log_scale = log_delta + 0.5 * (
+        lf[two_j - i] + lf[i] + lf[k + q] + lf[k - q] + lf[i - q] + lf[two_j - i + q]
+    )
+    t_min = np.maximum(np.maximum(0, k - two_j + i), q)
+    t_max = np.minimum(np.minimum(k, i), k + q)
+    total = np.zeros(len(lanes))
+    comp = np.zeros(len(lanes))
+    for t in range(int(t_min.min()), int(t_max.max()) + 1):
+        on = np.flatnonzero((t_min <= t) & (t <= t_max))
+        qt, it = q[on], i[on]
+        log_term = (
+            lf[t] + lf[two_j - k - it + t] + lf[t - qt]
+            + lf[k - t] + lf[it - t] + lf[k + qt - t]
+        )
+        # math.exp, not np.exp: the two differ in the last bit on many inputs.
+        args = (log_scale[on] - log_term).tolist()
+        term = np.fromiter(map(math.exp, args), float, count=len(args))
+        if t % 2:
+            term = -term
+        y = term - comp[on]
+        s = total[on] + y
+        comp[on] = (s - total[on]) - y
+        total[on] = s
+    table = np.zeros((2 * k + 1) * dim)
+    table[lanes] = np.where((two_j - k - i + q) % 2, -1.0, 1.0) * total
+    return table.reshape(2 * k + 1, dim)
+
+
 def multipole_decomposition(state: AngularState) -> np.ndarray:
     """Spherical-tensor components rho_kq of a spin-j density matrix.
 
@@ -183,26 +240,17 @@ def multipole_decomposition(state: AngularState) -> np.ndarray:
     Entries with |q| > k are zero.  A unit-trace state has
     rho_00 = 1 / sqrt(2j + 1).
     """
-    j = state.j
-    two_j = round(2 * j)
-    kmax = two_j
-    out = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    ms = np.arange(-j, j + 0.5, 1.0)
-    for k in range(kmax + 1):
-        scale = math.sqrt(2 * k + 1)
-        for q in range(-k, k + 1):
-            acc = 0.0 + 0.0j
-            for i, m in enumerate(ms):
-                ip = i - q  # column of m' = m - q
-                if ip < 0 or ip >= len(ms):
-                    continue
-                coeff = _wigner_3j_doubled(
-                    two_j, 2 * k, two_j, -round(2 * m), 2 * q, round(2 * (m - q))
-                )
-                if coeff == 0.0:
-                    continue
-                acc += (-1.0) ** round(j - m) * scale * coeff * state.rho[i, ip]
-            out[k, q + kmax] = acc
+    two_j = round(2 * state.j)
+    out = np.zeros((two_j + 1, 2 * two_j + 1), dtype=complex)
+    i = np.arange(two_j + 1)
+    parity = (-1.0) ** (two_j - i)  # (-1)^(j - m) with m = -j + i
+    for k in range(two_j + 1):
+        # rho[m, m - q]; where m - q is out of range the symbol is 0.0
+        shifted = state.rho[i, np.clip(i - np.arange(-k, k + 1)[:, None], 0, two_j)]
+        terms = parity * math.sqrt(2 * k + 1) * _rank_3j(two_j, k) * shifted
+        acc = out[k, two_j - k : two_j + k + 1]
+        for column in terms.T:  # in ascending m, the order the loop oracle adds
+            acc += column
     return out
 
 
@@ -213,14 +261,13 @@ def _field_from_multipoles(
     kmax = components.shape[0] - 1
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    # A[q + kmax, i] = sum_k rho_kq * (theta part of Y_kq at theta_i)
+    # harmonics[k, q] is the theta part of Y_kq; negative q index from the end.
+    harmonics = sph_harm_y_all(kmax, kmax, thetas, 0.0)
+    # A[q + kmax, i] = sum_k rho_kq * harmonics[k, q, i], added in ascending k
     by_order = np.zeros((2 * kmax + 1, len(thetas)), dtype=complex)
     for k in range(kmax + 1):
-        for q in range(-k, k + 1):
-            coeff = components[k, q + kmax]
-            if coeff == 0.0:
-                continue
-            by_order[q + kmax, :] += coeff * sph_harm_y(k, q, thetas, 0.0)
+        q = np.arange(-k, k + 1)
+        by_order[q + kmax] += components[k, q + kmax, None] * harmonics[k, q]
     phase = np.exp(1j * np.outer(np.arange(-kmax, kmax + 1), phis))
     field = by_order.T @ phase
     worst = float(np.max(np.abs(field.imag))) if field.size else 0.0

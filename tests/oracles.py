@@ -11,7 +11,9 @@ Everything here is built by a different route than the library code:
   polynomial representation;
 - two-ensemble evolution and the full protocol in the dense joint space;
 - Wigner 3j symbols from Clebsch-Gordan coefficients constructed by
-  highest-weight states and lowering operators.
+  highest-weight states and lowering operators;
+- Wigner multipoles and fields one term at a time, with a scalar 3j
+  symbol and a scalar spherical-harmonic call per term.
 
 Tests compare the fast library implementations against these oracles.  The
 per-branch protocol loop rebuilds every branch as its own state, with the
@@ -32,7 +34,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import eval_jacobi
+from scipy.special import eval_jacobi, sph_harm_y
 
 from spinrsp.collective_spin import (
     EnsembleState,
@@ -44,6 +46,7 @@ from spinrsp.collective_spin import (
 from spinrsp.errors import DegenerateStateError, DomainError, UndefinedOutcomeError
 from spinrsp.protocol import FluctuationResult, FluctuationSpec
 from spinrsp.squeezing import DiagonalPairState, evolve_pair
+from spinrsp.wigner import _wigner_3j_doubled
 
 
 # --- collective operators from first principles ---------------------------
@@ -336,6 +339,54 @@ def wigner_3j_from_cg(j1, j2, j3, m1, m2, m3) -> float:
     """3j symbol via its defining relation to Clebsch-Gordan coefficients."""
     sign = (-1.0) ** round(j1 - j2 - m3)
     return sign / math.sqrt(2 * j3 + 1) * clebsch_gordan(j1, m1, j2, m2, j3, -m3)
+
+
+# --- Wigner multipoles and fields one element at a time --------------------
+
+
+def loop_multipole_decomposition(state) -> np.ndarray:
+    """Spherical-tensor components rho_kq, one scalar 3j symbol per term.
+
+    Same layout as :func:`spinrsp.wigner.multipole_decomposition`; every
+    term takes its symbol from the scalar ``_wigner_3j_doubled``.
+    """
+    j = state.j
+    two_j = round(2 * j)
+    kmax = two_j
+    out = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    ms = np.arange(-j, j + 0.5, 1.0)
+    for k in range(kmax + 1):
+        scale = math.sqrt(2 * k + 1)
+        for q in range(-k, k + 1):
+            acc = 0.0 + 0.0j
+            for i, m in enumerate(ms):
+                ip = i - q  # column of m' = m - q
+                if ip < 0 or ip >= len(ms):
+                    continue
+                coeff = _wigner_3j_doubled(
+                    two_j, 2 * k, two_j, -round(2 * m), 2 * q, round(2 * (m - q))
+                )
+                if coeff == 0.0:
+                    continue
+                acc += (-1.0) ** round(j - m) * scale * coeff * state.rho[i, ip]
+            out[k, q + kmax] = acc
+    return out
+
+
+def loop_field_from_multipoles(components, thetas, phis) -> np.ndarray:
+    """Sum rho_kq Y_kq over a (theta x phi) grid, one sph_harm_y call per (k, q)."""
+    kmax = components.shape[0] - 1
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    by_order = np.zeros((2 * kmax + 1, len(thetas)), dtype=complex)
+    for k in range(kmax + 1):
+        for q in range(-k, k + 1):
+            coeff = components[k, q + kmax]
+            if coeff == 0.0:
+                continue
+            by_order[q + kmax, :] += coeff * sph_harm_y(k, q, thetas, 0.0)
+    phase = np.exp(1j * np.outer(np.arange(-kmax, kmax + 1), phis))
+    return (by_order.T @ phase).real
 
 
 # --- dense operators and helpers used only by tests ------------------------

@@ -795,3 +795,12 @@ class TestGoldenFixtures:
                 assert float(new_cell) == pytest.approx(
                     float(old_cell), abs=1e-9
                 )
+
+    def test_wigner_map_bytes(self, tmp_path):
+        golden = pathlib.Path(__file__).parent / "fixtures" / "wigner_map_n10_k9.csv"
+        out = tmp_path / "wigner_map_n10_k9.csv"
+        assert run_main(
+            "wigner-map", "--n", "10", "--theta", "0.5", "--k", "9",
+            "--theta-nodes", "22", "--phi-nodes", "42", "--out", str(out),
+        ) == 0
+        assert out.read_bytes() == golden.read_bytes()

@@ -6,13 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import rotated_fock_state, wigner_3j_from_cg
+from oracles import (
+    loop_field_from_multipoles,
+    loop_multipole_decomposition,
+    rotated_fock_state,
+    wigner_3j_from_cg,
+)
+from spinrsp import wigner
 from spinrsp.collective_spin import EnsembleState, RotationSpec
-from spinrsp.errors import DomainError
+from spinrsp.errors import DomainError, NumericalError
 from spinrsp.protocol import branch_state, run_protocol
 from spinrsp.squeezing import epr_minus, squeezing_run
 from spinrsp.wigner import (
     AngularState,
+    _rank_3j,
+    _wigner_3j_doubled,
     angular_state_from_ensemble,
     multipole_decomposition,
     spherical_harmonic,
@@ -102,6 +110,39 @@ class TestWigner3j:
                             checked += 1
         assert checked > 1000
         assert worst < 1e-12
+
+
+def scalar_rank_entry(two_j: int, k: int, q: int, i: int) -> float:
+    """The scalar 3j(j k j; -m, q, m - q) at m = -j + i."""
+    return _wigner_3j_doubled(
+        two_j, 2 * k, two_j, two_j - 2 * i, 2 * q, 2 * i - two_j - 2 * q
+    )
+
+
+class TestRank3jTable:
+    @pytest.mark.parametrize("two_j", [0, 1, 7, 20])
+    def test_bitwise_equal_to_scalar_symbols(self, two_j):
+        for k in range(two_j + 1):
+            expected = np.array(
+                [
+                    [scalar_rank_entry(two_j, k, q, i) for i in range(two_j + 1)]
+                    for q in range(-k, k + 1)
+                ]
+            )
+            assert _rank_3j(two_j, k).tobytes() == expected.tobytes()
+
+    def test_bitwise_equal_on_sampled_lanes_at_two_j_60(self):
+        two_j = 60
+        rng = np.random.default_rng(60)
+        ranks = {0, two_j, *rng.choice(two_j + 1, size=8, replace=False).tolist()}
+        for k in sorted(ranks):
+            table = _rank_3j(two_j, k)
+            qs = rng.integers(-k, k + 1, size=40)
+            # m and m - q both in range: i - q in [0, 2j]
+            ids = rng.integers(np.maximum(0, qs), np.minimum(two_j, two_j + qs) + 1)
+            for q, i in zip(qs.tolist(), ids.tolist()):
+                expected = np.float64(scalar_rank_entry(two_j, k, q, i))
+                assert table[q + k, i].tobytes() == expected.tobytes()
 
 
 class TestSphericalHarmonic:
@@ -228,6 +269,23 @@ class TestMultipoleDecomposition:
                 rhs = (-1.0) ** q * np.conj(comps[k, q + kmax])
                 assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("j", [0.5, 1.5, 3.0, 4.5, 8.0])
+    def test_matches_loop_oracle(self, j):
+        state = random_angular_state(j, seed=round(4 * j))
+        comps = multipole_decomposition(state)
+        np.testing.assert_allclose(
+            comps, loop_multipole_decomposition(state), rtol=0.0, atol=1e-14
+        )
+        rng = np.random.default_rng(round(4 * j))
+        thetas = np.sort(rng.uniform(0.0, math.pi, size=9))
+        phis = rng.uniform(0.0, 2.0 * math.pi, size=11)
+        np.testing.assert_allclose(
+            wigner_values(state, thetas, phis),
+            loop_field_from_multipoles(comps, thetas, phis),
+            rtol=0.0,
+            atol=1e-14,
+        )
+
     def test_out_of_band_entries_zero(self):
         comps = multipole_decomposition(random_angular_state(1.5, seed=3))
         kmax = 3
@@ -270,6 +328,30 @@ class TestWignerMap:
             assert sphere.integrate() == pytest.approx(
                 math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
             )
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            0.5,
+            pytest.param(
+                0.9,
+                marks=pytest.mark.xfail(
+                    raises=NumericalError,
+                    strict=True,
+                    reason="3j Racah sums off by ~1e-9 at 2j = 80 leave an "
+                    "imaginary residue of 1.8e-8 (ROADMAP item 6)",
+                ),
+            ),
+        ],
+    )
+    def test_normalization_of_protocol_state_at_n80(self, theta):
+        n = 80
+        state = branch_state(squeezing_run(n, 0.05), RotationSpec(theta, 0.0), n - 1)
+        sphere = wigner_map(angular_state_from_ensemble(state))
+        assert sphere.values.shape == (2 * n + 2, 4 * n + 2)
+        assert sphere.integrate() == pytest.approx(
+            math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
+        )
 
     def test_stretched_state_peaks_at_pole(self):
         n = 8
@@ -316,6 +398,29 @@ class TestWignerMap:
         j = int(np.argmin(np.abs(sphere.phi - phi)))
         assert sphere.values[i, j] == pytest.approx(value)
         assert value == pytest.approx(float(np.min(sphere.values)))
+
+    def test_no_scalar_symbols_and_one_harmonic_call(self, monkeypatch):
+        calls = {"sph_harm_y": 0, "sph_harm_y_all": 0}
+
+        def counted(name):
+            original = getattr(wigner, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(wigner, name, call)
+
+        counted("sph_harm_y")
+        counted("sph_harm_y_all")
+        state = angular_state_from_ensemble(
+            rotated_fock_state(20, 19, RotationSpec(0.5, 0.3))
+        )
+        before = _wigner_3j_doubled.cache_info()
+        wigner_map(state)
+        after = _wigner_3j_doubled.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert calls == {"sph_harm_y": 0, "sph_harm_y_all": 1}
 
     def test_grid_bounds_enforced(self):
         state = angular_state_from_ensemble(epr_minus_single(30))
