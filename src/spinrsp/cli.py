@@ -298,14 +298,13 @@ def _resolve(ns: argparse.Namespace) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # numpy float64 too; NaN prints as "nan"
+        return format(value, ".12g")
     if value is None:
         return "nan"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.12g}"
+    return format(float(value), ".12g")
 
 
 def _json_ready(value):
@@ -332,8 +331,20 @@ def _render(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
     if not rows:
         raise DomainError("no records to write")
     if fmt == "csv":
+        # Sweep rows share their repeated cells (theta, k, p, ... across phi),
+        # so each cell object is formatted once, keyed by its id().  The rows
+        # keep every cell alive until this call returns, so no id can be
+        # reused by another cell while the memo lives.
+        memo: dict[int, str] = {}
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        for row in rows:
+            parts = []
+            for cell in row:
+                text = memo.get(id(cell))
+                if text is None:
+                    text = memo[id(cell)] = _fmt(cell)
+                parts.append(text)
+            lines.append(",".join(parts))
         return "\n".join(lines) + "\n"
     payload = {"header": list(header), "rows": _json_ready([list(r) for r in rows])}
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -513,10 +524,12 @@ def _run_wigner_map(p) -> tuple[str, dict]:
         sphere = wigner_map(state, p["theta_nodes"], p["phi_nodes"])
     except DomainError as exc:  # a node count below the exactness bound
         raise UsageError(f"--theta-nodes/--phi-nodes: {exc}") from exc
+    # Python floats from tolist(), each theta and phi shared by its rows.
+    phis = sphere.phi.tolist()
     rows = [
-        (float(sphere.theta[i]), float(sphere.phi[j]), float(sphere.values[i, j]))
-        for i in range(len(sphere.theta))
-        for j in range(len(sphere.phi))
+        (theta, phi, w)
+        for theta, values in zip(sphere.theta.tolist(), sphere.values.tolist())
+        for phi, w in zip(phis, values)
     ]
     grid = {"theta_nodes": len(sphere.theta), "phi_nodes": len(sphere.phi)}
     return _render(("theta", "phi", "w"), rows, p["format"]), grid

@@ -173,13 +173,20 @@ def squeezing_run(n_atoms: int, tau: float) -> DiagonalPairState:
     return apply_frame_rotation(evolve_2a2s(n_atoms, tau))
 
 
-def find_optimal_time(
-    n_atoms: int, scan_step: float = 1e-3, refine_tol: float = 1e-7
-) -> tuple[float, float]:
-    """Time tau in (0, pi/2] maximizing fidelity to the spin-EPR state.
+# Grid of the first-peak scan over (0, pi/2], and the width at which the
+# golden-section refinement stops.
+_SCAN_STEP = 1e-3
+_REFINE_TOL = 1e-7
 
-    A coarse scan locates the bracket and golden-section search refines it.
-    Returns (tau_opt, fidelity at tau_opt).
+
+def find_optimal_time(n_atoms: int) -> tuple[float, float]:
+    """Time tau of the first maximum of the fidelity to the spin-EPR state.
+
+    The fidelity rises from 1/(N+1) at tau = 0 to a peak near tau ~ 4.5/N
+    whose width shrinks like 1/N; at large N a later revival can beat the
+    grid's samples of it.  So the scan over (0, pi/2] stops at the first
+    point below its predecessor, and golden-section search refines the
+    bracket around the point before it.  Returns (tau_opt, fidelity).
     """
     if n_atoms < 2:
         raise DomainError(f"find_optimal_time requires n_atoms >= 2, got {n_atoms}")
@@ -193,20 +200,25 @@ def find_optimal_time(
     def fid(t: float) -> float:
         return float(abs((bra * np.exp(-1j * evals * t)) @ c0) ** 2)
 
-    taus = np.arange(scan_step, math.pi / 2 + 1e-12, scan_step)
-    vals = np.array([fid(t) for t in taus])
-    if vals.max() - vals.min() < 1e-12:
+    taus = np.arange(_SCAN_STEP, math.pi / 2 + 1e-12, _SCAN_STEP)
+    vals = [fid(taus[0])]
+    i = len(taus) - 1  # the peak's index: the grid's end if nothing descends
+    for j in range(1, len(taus)):
+        vals.append(fid(taus[j]))
+        if vals[j] < vals[j - 1]:
+            i = j - 1
+            break
+    if max(vals) - min(vals) < 1e-12:
         raise SearchFailureError(
             f"fidelity landscape flat over (0, pi/2] for n_atoms = {n_atoms}"
         )
-    i = int(vals.argmax())
     lo = taus[max(i - 1, 0)]
     hi = taus[min(i + 1, len(taus) - 1)]
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - golden * (hi - lo)
     d = lo + golden * (hi - lo)
     fc, fd = fid(c), fid(d)
-    while hi - lo > refine_tol:
+    while hi - lo > _REFINE_TOL:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - golden * (hi - lo)

@@ -13,7 +13,9 @@ Everything here is built by a different route than the library code:
 - Wigner 3j symbols from Clebsch-Gordan coefficients constructed by
   highest-weight states and lowering operators;
 - Wigner multipoles and fields one term at a time, with a scalar 3j
-  symbol and a scalar spherical-harmonic call per term.
+  symbol and a scalar spherical-harmonic call per term;
+- the optimal squeezing time from the argmax of the whole 1e-3 scan grid;
+- CSV text with every cell formatted on its own.
 
 Tests compare the fast library implementations against these oracles.  The
 per-branch protocol loop rebuilds every branch as its own state, with the
@@ -43,9 +45,20 @@ from spinrsp.collective_spin import (
     rotation_log_column,
     y_rotation_matrix,
 )
-from spinrsp.errors import DegenerateStateError, DomainError, UndefinedOutcomeError
+from spinrsp.errors import (
+    DegenerateStateError,
+    DomainError,
+    SearchFailureError,
+    UndefinedOutcomeError,
+)
 from spinrsp.protocol import FluctuationResult, FluctuationSpec
-from spinrsp.squeezing import DiagonalPairState, evolve_pair
+from spinrsp.squeezing import (
+    DiagonalPairState,
+    _eigensystem,
+    epr_minus,
+    evolve_pair,
+    frame_phases,
+)
 from spinrsp.wigner import _wigner_3j_doubled
 
 
@@ -722,3 +735,74 @@ def loop_fluctuating_spin_averages(
                 continue
             acc += (w_a * w_b / n_b) * np.asarray(spins)
     return FluctuationResult((float(acc[0]), float(acc[1]), float(acc[2])), skipped)
+
+
+# --- optimal time from the argmax of the whole scan grid --------------------
+
+
+def argmax_optimal_time(
+    n_atoms: int, scan_step: float = 1e-3, refine_tol: float = 1e-7
+) -> tuple[float, float]:
+    """The full-grid optimal-time search: argmax over every scan point.
+
+    It brackets the global grid maximum over (0, pi/2], so at large N it
+    can lock onto a revival instead of the narrow first peak.  Where the two
+    coincide, the library's first-peak search must return the same floats.
+    """
+    if n_atoms < 2:
+        raise DomainError(f"find_optimal_time requires n_atoms >= 2, got {n_atoms}")
+    evals, evecs = _eigensystem(n_atoms, n_atoms)
+    target = epr_minus(n_atoms).psi * frame_phases(n_atoms).conj()
+    # <EPR_-| F exp(-i H t) |N,N> expressed in the eigenbasis: the frame
+    # phases are folded into the bra (conjugated once more below).
+    bra = np.conj(target) @ evecs
+    c0 = evecs[n_atoms, :]
+
+    def fid(t: float) -> float:
+        return float(abs((bra * np.exp(-1j * evals * t)) @ c0) ** 2)
+
+    taus = np.arange(scan_step, math.pi / 2 + 1e-12, scan_step)
+    vals = np.array([fid(t) for t in taus])
+    if vals.max() - vals.min() < 1e-12:
+        raise SearchFailureError(
+            f"fidelity landscape flat over (0, pi/2] for n_atoms = {n_atoms}"
+        )
+    i = int(vals.argmax())
+    lo = taus[max(i - 1, 0)]
+    hi = taus[min(i + 1, len(taus) - 1)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - golden * (hi - lo)
+    d = lo + golden * (hi - lo)
+    fc, fd = fid(c), fid(d)
+    while hi - lo > refine_tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = fid(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = fid(d)
+    tau_opt = 0.5 * (lo + hi)
+    return tau_opt, fid(tau_opt)
+
+
+# --- CSV rendering one cell at a time -----------------------------------------
+
+
+def _per_cell_fmt(value) -> str:
+    if value is None:
+        return "nan"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if math.isnan(value):
+        return "nan"
+    return f"{value:.12g}"
+
+
+def per_cell_csv(header, rows) -> str:
+    """CSV text with every cell formatted on its own, shared or not."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_per_cell_fmt(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"

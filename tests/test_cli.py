@@ -13,7 +13,13 @@ import pytest
 
 import spinrsp.cli as cli
 import spinrsp.protocol as protocol
-from oracles import loop_average_error, loop_postselected_error, per_branch_protocol
+from oracles import (
+    _per_cell_fmt,
+    loop_average_error,
+    loop_postselected_error,
+    per_branch_protocol,
+    per_cell_csv,
+)
 from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.squeezing import DiagonalPairState, squeezing_run
 
@@ -77,6 +83,9 @@ class TestValueParsing:
         assert cli._fmt(np.int64(3)) == "3"
         assert cli._fmt(0.5) == "0.5"
         assert cli._fmt(math.pi / 2) == "1.57079632679"
+        for cell in (True, -0.0, 1e-320, float("inf"), np.float64(2.0 / 3.0),
+                     np.float64("nan"), np.float32(0.1)):
+            assert cli._fmt(cell) == _per_cell_fmt(cell), cell
 
 
 class TestRendering:
@@ -109,6 +118,77 @@ class TestRendering:
 
         with pytest.raises(DomainError):
             cli._render(("a",), [], "csv")
+
+
+class TestMemoizedRender:
+    """The CSV renderer formats each shared cell object once; its bytes must
+    equal the per-cell oracle on the rows every subcommand builds."""
+
+    @staticmethod
+    def render_both(tmp_path, monkeypatch, *args):
+        calls = []
+        render = cli._render
+
+        def spy(header, rows, fmt):
+            calls.append((header, rows))
+            return render(header, rows, fmt)
+
+        monkeypatch.setattr(cli, "_render", spy)
+        out = tmp_path / "out.csv"
+        assert run_main(*args, "--out", str(out)) == 0
+        ((header, rows),) = calls
+        return out.read_bytes(), per_cell_csv(header, rows).encode("utf-8")
+
+    @pytest.mark.parametrize("theta", ["0", "0.7", "pi:1"])
+    @pytest.mark.parametrize(
+        "extra", [(), ("--k", "3"), ("--tau", "0")], ids=["all", "k3", "tau0"]
+    )
+    def test_spin_sweep(self, tmp_path, monkeypatch, theta, extra):
+        written, oracle = self.render_both(
+            tmp_path, monkeypatch, "spin-sweep", "--n", "30", "--theta", theta,
+            "--phi-nodes", "5", *extra,
+        )
+        assert written == oracle
+        if extra == ("--tau", "0"):
+            # The product resource leaves branches below the probability cut.
+            assert b",nan,nan,nan,nan\n" in written
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("wigner-map", "--n", "10", "--theta", "0.5", "--k", "9"),
+            ("prob-dist", "--n", "20", "--theta-nodes", "9"),
+            ("error-sweep", "--n", "12", "--k-cut", "1", "--theta-nodes", "7",
+             "--phi-nodes", "5"),
+            ("error-sweep", "--n-list", "10,20,30", "--k-cut", "0"),
+            ("fluctuation", "--nbar", "10", "--theta-nodes", "5"),
+            ("protocol", "--n", "8", "--theta", "0.7", "--phi", "0.3"),
+        ],
+        ids=["wigner-map", "prob-dist", "error-sweep-grid", "error-sweep-n-list",
+             "fluctuation", "protocol"],
+    )
+    def test_other_subcommands(self, tmp_path, monkeypatch, args):
+        written, oracle = self.render_both(tmp_path, monkeypatch, *args)
+        assert written == oracle
+
+
+class TestDefaultTauAtLargeN:
+    """The default tau is the first fidelity peak, not a later revival."""
+
+    def test_optimal_time_n1000(self, tmp_path):
+        out = tmp_path / "opt.json"
+        assert run_main("optimal-time", "--n", "1000", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["tau_opt"] == pytest.approx(0.004472, abs=1e-6)
+
+    def test_error_flat_from_n800_to_n1000(self, tmp_path):
+        out = tmp_path / "err.csv"
+        assert run_main(
+            "error-sweep", "--n-list", "800,1000", "--k-cut", "0", "--out", str(out)
+        ) == 0
+        rows = read_rows(out, "n,theta,phi,e,e_ps,keep_p")
+        e_800, e_1000 = float(rows[0][3]), float(rows[1][3])
+        assert abs(e_1000 - e_800) < 1e-3
 
 
 class TestParseExamples:

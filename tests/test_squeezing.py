@@ -5,8 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from oracles import (
+    argmax_optimal_time,
     build_2a2s_tridiagonal,
     coupling_strengths,
     frame_phase_vector,
@@ -241,6 +243,37 @@ class TestOptimalTime:
     def test_rejects_single_atom(self):
         with pytest.raises(DomainError):
             find_optimal_time(1)
+
+    @pytest.mark.parametrize("n", [*range(2, 81), 100, 200, 400, 800])
+    def test_bitwise_equal_to_argmax_oracle(self, n):
+        # Up to N = 973 the 1e-3 grid's global maximum is its first peak, so
+        # stopping at the first descent must not move tau_opt or F by a bit.
+        assert find_optimal_time(n) == argmax_optimal_time(n)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_first_peak_at_large_n(self, n):
+        # The first peak narrows like 1/N; at these N the grid's global
+        # maximum is a later revival (F ~ 0.82 near tau ~ 0.97 at N = 1000).
+        # Reference: the first local maximum of a uniform 1e-5 grid over
+        # (0, 8/N], then the maximum of a 1e-7 grid within one step of it,
+        # from an eigensystem built off the oracle couplings.
+        evals, evecs = eigh_tridiagonal(np.zeros(n + 1), coupling_strengths(n))
+        target = epr_minus(n).psi * frame_phase_vector(n).conj() ** 2
+        bra = np.conj(target) @ evecs
+        c0 = evecs[n, :]
+
+        def fids(taus):
+            return np.abs(np.exp(-1j * np.outer(taus, evals)) @ (bra * c0)) ** 2
+
+        coarse = np.arange(1, int(8.0 / n / 1e-5) + 1) * 1e-5
+        values = fids(coarse)
+        first = int(np.flatnonzero(np.diff(values) < 0)[0])
+        fine = coarse[first] + np.arange(-100, 101) * 1e-7
+        tau_ref = fine[int(fids(fine).argmax())]
+
+        tau_opt, fid = find_optimal_time(n)
+        assert abs(tau_opt - tau_ref) < 2e-6
+        assert fid >= 0.899
 
     def test_unimodal_on_scan_grid(self):
         n = 12
