@@ -58,7 +58,7 @@ from .squeezing import (
     pair_variances,
     squeezing_run,
 )
-from .wigner import angular_state_from_ensemble, wigner_map
+from .wigner import wigner_map
 
 __all__ = ["ExperimentConfig", "parse_config", "execute", "main"]
 
@@ -517,22 +517,29 @@ def _run_wigner_map(p) -> tuple[str, dict]:
     _check_outcome(k, n)
     resource = (epr_minus(n) if p["resource"] == "epr"
                 else squeezing_run(n, p["tau"]))
-    state = angular_state_from_ensemble(
-        branch_state(resource, RotationSpec(p["theta"], p["phi"]), k)
-    )
+    state = branch_state(resource, RotationSpec(p["theta"], p["phi"]), k)
     try:
         sphere = wigner_map(state, p["theta_nodes"], p["phi_nodes"])
     except DomainError as exc:  # a node count below the exactness bound
         raise UsageError(f"--theta-nodes/--phi-nodes: {exc}") from exc
-    # Python floats from tolist(), each theta and phi shared by its rows.
-    phis = sphere.phi.tolist()
-    rows = [
-        (theta, phi, w)
-        for theta, values in zip(sphere.theta.tolist(), sphere.values.tolist())
-        for phi, w in zip(phis, values)
-    ]
     grid = {"theta_nodes": len(sphere.theta), "phi_nodes": len(sphere.phi)}
-    return _render(("theta", "phi", "w"), rows, p["format"]), grid
+    header = ("theta", "phi", "w")
+    thetas, phis = sphere.theta.tolist(), sphere.phi.tolist()
+    if p["format"] == "json":
+        rows = [
+            (theta, phi, w)
+            for theta, values in zip(thetas, sphere.values.tolist())
+            for phi, w in zip(phis, values)
+        ]
+        return _render(header, rows, "json"), grid
+    # Columnar CSV: each phi cell is formatted once, each theta once per
+    # block, and only the values cell by cell; the bytes are _render's.
+    phi_cells = [f"{phi:.12g}," for phi in phis]
+    lines = [",".join(header)]
+    for theta, values in zip(thetas, sphere.values.tolist()):
+        head = f"{theta:.12g},"
+        lines.extend(f"{head}{phi}{w:.12g}" for phi, w in zip(phi_cells, values))
+    return "\n".join(lines) + "\n", grid
 
 
 @_command(

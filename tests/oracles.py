@@ -14,6 +14,11 @@ Everything here is built by a different route than the library code:
   highest-weight states and lowering operators;
 - Wigner multipoles and fields one term at a time, with a scalar 3j
   symbol and a scalar spherical-harmonic call per term;
+- the Wigner map of any spin-j density matrix (mixed states included)
+  from its multipoles: Racah-sum 3j tables per rank and one harmonics
+  table, the route the library's pure-state map replaced;
+- single Wigner values in mpmath from the Stratonovich kernel, with
+  sympy's exact Clebsch-Gordan coefficients;
 - the optimal squeezing time from the argmax of the whole 1e-3 scan grid;
 - CSV text with every cell formatted on its own.
 
@@ -36,7 +41,9 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import eval_jacobi, sph_harm_y
+from scipy.special import eval_jacobi, gammaln, sph_harm_y, sph_harm_y_all
+from sympy import Rational
+from sympy.physics.wigner import clebsch_gordan as sympy_cg
 
 from spinrsp.collective_spin import (
     EnsembleState,
@@ -48,6 +55,7 @@ from spinrsp.collective_spin import (
 from spinrsp.errors import (
     DegenerateStateError,
     DomainError,
+    NumericalError,
     SearchFailureError,
     UndefinedOutcomeError,
 )
@@ -59,7 +67,7 @@ from spinrsp.squeezing import (
     evolve_pair,
     frame_phases,
 )
-from spinrsp.wigner import _wigner_3j_doubled
+from spinrsp.wigner import SphereMap, _quadrature_grid, _wigner_3j_doubled
 
 
 # --- collective operators from first principles ---------------------------
@@ -155,17 +163,22 @@ def mpmath_rotation_element(n: int, kp: int, k: int, theta: float) -> float:
     taken as the given double.
     """
     with mpmath.workdps(n // 3 + 40):
-        half = mpmath.mpf(theta) / 2
-        c, s = mpmath.cos(half), mpmath.sin(half)
-        total = mpmath.mpf(0)
-        for m in range(max(0, k + kp - n), min(k, kp) + 1):
-            den = (math.factorial(m) * math.factorial(k - m)
-                   * math.factorial(kp - m) * math.factorial(n - k - kp + m))
-            total += ((-1) ** (kp - m) * c ** (2 * m + n - k - kp)
-                      * s ** (k + kp - 2 * m) / den)
-        root = mpmath.sqrt(math.factorial(k) * math.factorial(n - k)
-                           * math.factorial(kp) * math.factorial(n - kp))
-        return float(total * root)
+        return float(_mpmath_rotation_sum(n, kp, k, mpmath.mpf(theta) / 2))
+
+
+def _mpmath_rotation_sum(n: int, kp: int, k: int, half):
+    """The literal sum of :func:`mpmath_rotation_element` at the working
+    precision, for the half angle ``half`` (an mpf)."""
+    c, s = mpmath.cos(half), mpmath.sin(half)
+    total = mpmath.mpf(0)
+    for m in range(max(0, k + kp - n), min(k, kp) + 1):
+        den = (math.factorial(m) * math.factorial(k - m)
+               * math.factorial(kp - m) * math.factorial(n - k - kp + m))
+        total += ((-1) ** (kp - m) * c ** (2 * m + n - k - kp)
+                  * s ** (k + kp - 2 * m) / den)
+    root = mpmath.sqrt(math.factorial(k) * math.factorial(n - k)
+                       * math.factorial(kp) * math.factorial(n - kp))
+    return total * root
 
 
 def jacobi_rotation_elements(n: int, kp, k, theta: float):
@@ -360,7 +373,7 @@ def wigner_3j_from_cg(j1, j2, j3, m1, m2, m3) -> float:
 def loop_multipole_decomposition(state) -> np.ndarray:
     """Spherical-tensor components rho_kq, one scalar 3j symbol per term.
 
-    Same layout as :func:`spinrsp.wigner.multipole_decomposition`; every
+    Same layout as :func:`multipole_decomposition`; every
     term takes its symbol from the scalar ``_wigner_3j_doubled``.
     """
     j = state.j
@@ -400,6 +413,252 @@ def loop_field_from_multipoles(components, thetas, phis) -> np.ndarray:
             by_order[q + kmax, :] += coeff * sph_harm_y(k, q, thetas, 0.0)
     phase = np.exp(1j * np.outer(np.arange(-kmax, kmax + 1), phis))
     return (by_order.T @ phase).real
+
+
+# --- the density-matrix Wigner stack --------------------------------------
+
+
+@dataclass(frozen=True)
+class AngularState:
+    """Density matrix of a single spin j in the |j, m> basis, m ascending.
+
+    Row/column index i corresponds to m = -j + i.  The matrix must be
+    Hermitian with unit trace and no eigenvalue below -1e-10.
+    """
+
+    j: float
+    rho: np.ndarray
+
+    def __post_init__(self):
+        two_j = round(2 * self.j)
+        if two_j < 0 or abs(2 * self.j - two_j) > 1e-12:
+            raise DomainError(f"j must be a non-negative half-integer, got {self.j}")
+        rho = np.array(self.rho, dtype=complex)
+        dim = two_j + 1
+        if rho.shape != (dim, dim):
+            raise DomainError(
+                f"density matrix for j={self.j} must be {dim}x{dim}, got {rho.shape}"
+            )
+        if not abs(np.trace(rho) - 1.0) <= 1e-12:
+            raise DomainError(f"density matrix trace is {np.trace(rho)!r}, expected 1")
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
+            raise DomainError("density matrix is not Hermitian")
+        if not float(np.min(np.linalg.eigvalsh(rho))) >= -1e-10:
+            raise DomainError("density matrix has a significantly negative eigenvalue")
+        rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+
+    @property
+    def dim(self) -> int:
+        return round(2 * self.j) + 1
+
+
+def angular_state_from_ensemble(state: EnsembleState) -> AngularState:
+    """Pure-state density matrix of an ensemble state as a spin j = N/2.
+
+    The Fock label k maps to the magnetic quantum number m = k - N/2, so
+    the amplitude vector carries over with no reordering.
+    """
+    if not state.normalized:
+        raise DomainError("angular state requires a normalized ensemble state")
+    rho = np.outer(state.amplitudes, np.conj(state.amplitudes))
+    return AngularState(state.n_atoms / 2.0, rho)
+
+
+def _as_doubled(value: float, name: str) -> int:
+    doubled = round(2 * value)
+    if abs(2 * value - doubled) > 1e-9:
+        raise DomainError(f"{name} must be integer or half-integer, got {value}")
+    return doubled
+
+
+def wigner_3j(
+    j1: float, j2: float, j3: float, m1: float, m2: float, m3: float
+) -> float:
+    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3) for (half-)integer arguments.
+
+    Arguments violating a selection rule give exactly 0.0; arguments that
+    are not half-integers, or negative j, raise :class:`DomainError`.
+    """
+    doubled = (
+        _as_doubled(j1, "j1"),
+        _as_doubled(j2, "j2"),
+        _as_doubled(j3, "j3"),
+        _as_doubled(m1, "m1"),
+        _as_doubled(m2, "m2"),
+        _as_doubled(m3, "m3"),
+    )
+    if doubled[0] < 0 or doubled[1] < 0 or doubled[2] < 0:
+        raise DomainError("angular momenta must be non-negative")
+    return _wigner_3j_doubled(*doubled)
+
+
+def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
+    """Spherical harmonic Y_kq(theta, phi) with the Condon-Shortley phase.
+
+    Accepts scalars or arrays for the angles; degree/order outside
+    0 <= |q| <= k raise :class:`DomainError`.
+    """
+    if k < 0 or abs(q) > k:
+        raise DomainError(f"need 0 <= |q| <= k, got k={k}, q={q}")
+    return sph_harm_y(k, q, theta, phi)
+
+
+@lru_cache(maxsize=16)
+def _log_factorials(two_j: int) -> np.ndarray:
+    """log(n!) at index n, for every n a rank table of spin j reads.
+
+    Made of the same scalar calls as ``lf`` in ``_wigner_3j_doubled``,
+    so both evaluate the Racah sum from identical logarithms.
+    """
+    table = np.array([float(gammaln(d / 2 + 1)) for d in range(0, 4 * two_j + 4, 2)])
+    table.setflags(write=False)
+    return table
+
+
+def _rank_3j(two_j: int, k: int) -> np.ndarray:
+    """3j(j k j; -m, q, m - q) as a (2k + 1, 2j + 1) table at [q + k, j + m].
+
+    Entries with m - q outside [-j, j] are 0.0.  The rest repeat the
+    floating-point operations of :func:`_wigner_3j_doubled` in the same
+    order, one (q, m) lane per entry: each lane walks its own t range
+    upwards with its own Kahan state.  The alternating sum cancels
+    heavily, so anything less would move the symbols in their last bits.
+    """
+    lf = _log_factorials(two_j)
+    dim = two_j + 1
+    q, i = np.divmod(np.arange((2 * k + 1) * dim), dim)
+    q -= k
+    lanes = np.flatnonzero((i >= q) & (i - q <= two_j))
+    q, i = q[lanes], i[lanes]
+    # With i = j + m, the scalar's lf(d) reads lf[d // 2] at these indices.
+    log_delta = 0.5 * (lf[k] + lf[two_j - k] + lf[k] - lf[two_j + k + 1])
+    log_scale = log_delta + 0.5 * (
+        lf[two_j - i] + lf[i] + lf[k + q] + lf[k - q] + lf[i - q] + lf[two_j - i + q]
+    )
+    t_min = np.maximum(np.maximum(0, k - two_j + i), q)
+    t_max = np.minimum(np.minimum(k, i), k + q)
+    total = np.zeros(len(lanes))
+    comp = np.zeros(len(lanes))
+    for t in range(int(t_min.min()), int(t_max.max()) + 1):
+        on = np.flatnonzero((t_min <= t) & (t <= t_max))
+        qt, it = q[on], i[on]
+        log_term = (
+            lf[t] + lf[two_j - k - it + t] + lf[t - qt]
+            + lf[k - t] + lf[it - t] + lf[k + qt - t]
+        )
+        # math.exp, not np.exp: the two differ in the last bit on many inputs.
+        args = (log_scale[on] - log_term).tolist()
+        term = np.fromiter(map(math.exp, args), float, count=len(args))
+        if t % 2:
+            term = -term
+        y = term - comp[on]
+        s = total[on] + y
+        comp[on] = (s - total[on]) - y
+        total[on] = s
+    table = np.zeros((2 * k + 1) * dim)
+    table[lanes] = np.where((two_j - k - i + q) % 2, -1.0, 1.0) * total
+    return table.reshape(2 * k + 1, dim)
+
+
+def multipole_decomposition(state: AngularState) -> np.ndarray:
+    """Spherical-tensor components rho_kq of a spin-j density matrix.
+
+    Returns a complex array of shape (2j + 1, 4j + 1) with rho[k, q + 2j]
+    holding the rank-k, order-q component
+
+        rho_kq = sum_m (-1)^(j - m) sqrt(2k + 1)
+                 * 3j(j, k, j; -m, q, m - q) * <m| rho |m - q>.
+
+    Entries with |q| > k are zero.  A unit-trace state has
+    rho_00 = 1 / sqrt(2j + 1).
+    """
+    two_j = round(2 * state.j)
+    out = np.zeros((two_j + 1, 2 * two_j + 1), dtype=complex)
+    i = np.arange(two_j + 1)
+    parity = (-1.0) ** (two_j - i)  # (-1)^(j - m) with m = -j + i
+    for k in range(two_j + 1):
+        # rho[m, m - q]; where m - q is out of range the symbol is 0.0
+        shifted = state.rho[i, np.clip(i - np.arange(-k, k + 1)[:, None], 0, two_j)]
+        terms = parity * math.sqrt(2 * k + 1) * _rank_3j(two_j, k) * shifted
+        acc = out[k, two_j - k : two_j + k + 1]
+        for column in terms.T:  # in ascending m, the order the loop oracle adds
+            acc += column
+    return out
+
+
+def _field_from_multipoles(
+    components: np.ndarray, thetas: np.ndarray, phis: np.ndarray
+) -> np.ndarray:
+    """Sum rho_kq Y_kq over a separable (theta x phi) grid."""
+    kmax = components.shape[0] - 1
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    # harmonics[k, q] is the theta part of Y_kq; negative q index from the end.
+    harmonics = sph_harm_y_all(kmax, kmax, thetas, 0.0)
+    # A[q + kmax, i] = sum_k rho_kq * harmonics[k, q, i], added in ascending k
+    by_order = np.zeros((2 * kmax + 1, len(thetas)), dtype=complex)
+    for k in range(kmax + 1):
+        q = np.arange(-k, k + 1)
+        by_order[q + kmax] += components[k, q + kmax, None] * harmonics[k, q]
+    phase = np.exp(1j * np.outer(np.arange(-kmax, kmax + 1), phis))
+    field = by_order.T @ phase
+    worst = float(np.max(np.abs(field.imag))) if field.size else 0.0
+    if worst > 1e-8:
+        raise NumericalError(
+            f"Wigner field has imaginary residue {worst:.3e}; "
+            "input density matrix is inconsistent"
+        )
+    return field.real
+
+
+def wigner_values(
+    state: AngularState, thetas: np.ndarray, phis: np.ndarray
+) -> np.ndarray:
+    """Wigner function on the outer grid of polar x azimuthal angles.
+
+    Returns a real array of shape (len(thetas), len(phis)).
+    """
+    return _field_from_multipoles(multipole_decomposition(state), thetas, phis)
+
+
+def multipole_wigner_map(
+    state: AngularState, n_theta: int | None = None, n_phi: int | None = None
+) -> SphereMap:
+    """The Wigner map of a spin-j density matrix from its multipoles, on the
+    grid of :func:`spinrsp.wigner.wigner_map` (the map's former route)."""
+    theta, phi, weights = _quadrature_grid(round(2 * state.j), n_theta, n_phi)
+    return SphereMap(theta, phi, wigner_values(state, theta, phi), weights)
+
+
+def mpmath_wigner_value(amplitudes, theta: float, phi: float) -> float:
+    """W(theta, phi) of a pure state from the Stratonovich kernel in mpmath.
+
+    Works at dps N/3 + 40: D by the literal alternating sum, Delta_k from
+    sympy's exact Clebsch-Gordan coefficients, and the amplitudes and angles
+    taken as the given doubles.
+    """
+    n = len(amplitudes) - 1
+    j = Rational(n, 2)
+    with mpmath.workdps(n // 3 + 40):
+        half = mpmath.mpf(theta) / 2
+        phases = [mpmath.expj(mpmath.mpf(phi) * (2 * kp - n) / 2)
+                  for kp in range(n + 1)]
+        psi = [mpmath.mpc(complex(a)) for a in amplitudes]
+        total = mpmath.mpf(0)
+        for k in range(n + 1):
+            m = Rational(2 * k - n, 2)
+            delta = sum(
+                mpmath.sqrt(2 * big_l + 1)
+                * mpmath.mpf(sympy_cg(j, j, big_l, m, -m, 0).evalf(mpmath.mp.dps + 5))
+                for big_l in range(n + 1)
+            ) * (-1) ** (n - k) / mpmath.sqrt(4 * mpmath.pi)
+            amp = sum(
+                _mpmath_rotation_sum(n, kp, k, half) * phases[kp] * psi[kp]
+                for kp in range(n + 1)
+            )
+            total += delta * abs(amp) ** 2
+        return float(total)
 
 
 # --- dense operators and helpers used only by tests ------------------------

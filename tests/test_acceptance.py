@@ -33,7 +33,7 @@ from spinrsp.squeezing import (
     pair_variances,
     squeezing_run,
 )
-from spinrsp.wigner import angular_state_from_ensemble, wigner_map
+from spinrsp.wigner import wigner_map
 
 import oracles
 
@@ -241,7 +241,7 @@ def test_criterion_7_wigner_normalization_and_negativity():
         if not outcome.defined:
             continue
         state = branch_state(resource, spec, outcome.k)
-        sphere = wigner_map(angular_state_from_ensemble(state))
+        sphere = wigner_map(state)
         norm_devs.append(abs(sphere.integrate() - expected))
         if outcome.k in (n - 1, n):
             minima[outcome.k] = sphere.minimum()[0]

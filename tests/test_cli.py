@@ -168,8 +168,32 @@ class TestMemoizedRender:
              "fluctuation", "protocol"],
     )
     def test_other_subcommands(self, tmp_path, monkeypatch, args):
-        written, oracle = self.render_both(tmp_path, monkeypatch, *args)
+        both = self.map_both if args[0] == "wigner-map" else self.render_both
+        written, oracle = both(tmp_path, monkeypatch, *args)
         assert written == oracle
+
+    @staticmethod
+    def map_both(tmp_path, monkeypatch, *args):
+        """The wigner-map CSV is written by columns, not through _render:
+        compare it with the per-cell oracle on rows built from its map."""
+        maps = []
+        wigner_map = cli.wigner_map
+
+        def spy(*call_args):
+            maps.append(wigner_map(*call_args))
+            return maps[-1]
+
+        monkeypatch.setattr(cli, "wigner_map", spy)
+        out = tmp_path / "out.csv"
+        assert run_main(*args, "--out", str(out)) == 0
+        (sphere,) = maps
+        rows = [
+            (theta, phi, float(sphere.values[i, j]))
+            for i, theta in enumerate(sphere.theta)
+            for j, phi in enumerate(sphere.phi)
+        ]
+        oracle = per_cell_csv(("theta", "phi", "w"), rows)
+        return out.read_bytes(), oracle.encode("utf-8")
 
 
 class TestDefaultTauAtLargeN:
@@ -259,6 +283,18 @@ class TestSchemas:
         ) == 0
         rows = read_rows(out, "theta,phi,w")
         assert len(rows) == 8 * 14
+
+    def test_wigner_map_json_matches_csv(self, tmp_path):
+        # The CSV is written by columns, the JSON from row tuples.
+        args = ("wigner-map", "--n", "3", "--tau", "0.2", "--theta", "0.4",
+                "--theta-nodes", "8", "--phi-nodes", "14")
+        csv_out, json_out = tmp_path / "wm.csv", tmp_path / "wm.json"
+        assert run_main(*args, "--out", str(csv_out)) == 0
+        assert run_main(*args, "--format", "json", "--out", str(json_out)) == 0
+        payload = json.loads(json_out.read_text())
+        assert payload["header"] == ["theta", "phi", "w"]
+        rows = read_rows(csv_out, "theta,phi,w")
+        assert payload["rows"] == [[float(cell) for cell in row] for row in rows]
 
     def test_error_sweep_grid_schema(self, tmp_path):
         out = tmp_path / "eg.csv"

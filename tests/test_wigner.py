@@ -1,32 +1,40 @@
-"""Spherical Wigner functions, 3j symbols, and multipole decompositions."""
+"""Spherical Wigner maps from the pure-state kernel, checked against the
+density-matrix multipole stack (3j symbols, multipoles, harmonics) that
+lives in the oracles, and that stack against its own loop oracles."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import Rational
+from sympy.physics.wigner import clebsch_gordan as sympy_cg
 
 from oracles import (
+    AngularState,
+    _rank_3j,
+    angular_state_from_ensemble,
     loop_field_from_multipoles,
     loop_multipole_decomposition,
+    mpmath_wigner_value,
+    multipole_decomposition,
+    multipole_wigner_map,
     rotated_fock_state,
+    spherical_harmonic,
+    wigner_3j,
     wigner_3j_from_cg,
+    wigner_values,
 )
 from spinrsp import wigner
 from spinrsp.collective_spin import EnsembleState, RotationSpec
-from spinrsp.errors import DomainError, NumericalError
+from spinrsp.errors import DomainError
 from spinrsp.protocol import branch_state, run_protocol
-from spinrsp.squeezing import epr_minus, squeezing_run
+from spinrsp.squeezing import find_optimal_time, squeezing_run
 from spinrsp.wigner import (
-    AngularState,
-    _rank_3j,
+    _kernel_weights,
+    _m0_clebsch_gordan,
     _wigner_3j_doubled,
-    angular_state_from_ensemble,
-    multipole_decomposition,
-    spherical_harmonic,
-    wigner_3j,
     wigner_map,
-    wigner_values,
 )
 
 
@@ -298,20 +306,14 @@ class TestMultipoleDecomposition:
 class TestWignerMap:
     def test_grid_shape_and_weights(self):
         n = 6
-        state = angular_state_from_ensemble(
-            rotated_fock_state(n, n, RotationSpec(0.0, 0.0))
-        )
-        sphere = wigner_map(state)
+        sphere = wigner_map(rotated_fock_state(n, n, RotationSpec(0.0, 0.0)))
         assert sphere.values.shape == (121, 241)
         assert sphere.weights.sum() == pytest.approx(4.0 * math.pi, abs=1e-10)
-        assert np.all(np.isreal(sphere.values))
+        assert sphere.values.dtype == np.float64
 
     @pytest.mark.parametrize("n,k", [(4, 4), (5, 2), (8, 7)])
     def test_normalization(self, n, k):
-        state = angular_state_from_ensemble(
-            rotated_fock_state(n, k, RotationSpec(0.9, 2.0))
-        )
-        sphere = wigner_map(state)
+        sphere = wigner_map(rotated_fock_state(n, k, RotationSpec(0.9, 2.0)))
         assert sphere.integrate() == pytest.approx(
             math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
         )
@@ -323,31 +325,26 @@ class TestWignerMap:
         for outcome in run_protocol(resource, spec):
             if not outcome.defined:
                 continue
-            state = branch_state(resource, spec, outcome.k)
-            sphere = wigner_map(angular_state_from_ensemble(state))
+            sphere = wigner_map(branch_state(resource, spec, outcome.k))
             assert sphere.integrate() == pytest.approx(
                 math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
             )
 
-    @pytest.mark.parametrize(
-        "theta",
-        [
-            0.5,
-            pytest.param(
-                0.9,
-                marks=pytest.mark.xfail(
-                    raises=NumericalError,
-                    strict=True,
-                    reason="3j Racah sums off by ~1e-9 at 2j = 80 leave an "
-                    "imaginary residue of 1.8e-8 (ROADMAP item 6)",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("theta", [0.5, 0.9])
     def test_normalization_of_protocol_state_at_n80(self, theta):
         n = 80
         state = branch_state(squeezing_run(n, 0.05), RotationSpec(theta, 0.0), n - 1)
-        sphere = wigner_map(angular_state_from_ensemble(state))
+        sphere = wigner_map(state)
+        assert sphere.values.shape == (2 * n + 2, 4 * n + 2)
+        assert sphere.integrate() == pytest.approx(
+            math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
+        )
+
+    def test_normalization_at_n200(self):
+        # The multipole route failed here on an imaginary residue of 1.1e-7.
+        n = 200
+        resource = squeezing_run(n, find_optimal_time(n)[0])
+        sphere = wigner_map(branch_state(resource, RotationSpec(0.5, 0.0), n))
         assert sphere.values.shape == (2 * n + 2, 4 * n + 2)
         assert sphere.integrate() == pytest.approx(
             math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
@@ -355,10 +352,7 @@ class TestWignerMap:
 
     def test_stretched_state_peaks_at_pole(self):
         n = 8
-        state = angular_state_from_ensemble(
-            rotated_fock_state(n, n, RotationSpec(0.0, 0.0))
-        )
-        sphere = wigner_map(state)
+        sphere = wigner_map(rotated_fock_state(n, n, RotationSpec(0.0, 0.0)))
         i, j = np.unravel_index(np.argmax(sphere.values), sphere.values.shape)
         assert sphere.theta[i] == pytest.approx(np.min(sphere.theta))
         peak_row = sphere.values[i, :]
@@ -367,63 +361,53 @@ class TestWignerMap:
     def test_z_rotation_shifts_azimuth(self):
         n = 5
         base = rotated_fock_state(n, 4, RotationSpec(1.1, 0.0))
-        sphere = wigner_map(angular_state_from_ensemble(base))
+        sphere = wigner_map(base)
         shift = 24  # grid steps of 2 pi / 241
         alpha = shift * 2.0 * math.pi / len(sphere.phi)
         k = np.arange(n + 1)
         turned = EnsembleState(
             n, base.amplitudes * np.exp(-1j * (2 * k - n) * alpha / 2.0)
         )
-        sphere_turned = wigner_map(angular_state_from_ensemble(turned))
         np.testing.assert_allclose(
-            sphere_turned.values, np.roll(sphere.values, shift, axis=1), atol=1e-8
+            wigner_map(turned).values, np.roll(sphere.values, shift, axis=1),
+            atol=1e-8,
         )
 
     def test_fock_like_outcome_goes_negative(self):
         n = 10
         resource = squeezing_run(n, 0.2)
         spec = RotationSpec(0.5, 0.0)
-        near_top = wigner_map(
-            angular_state_from_ensemble(branch_state(resource, spec, n - 1))
-        )
-        top = wigner_map(angular_state_from_ensemble(branch_state(resource, spec, n)))
+        near_top = wigner_map(branch_state(resource, spec, n - 1))
+        top = wigner_map(branch_state(resource, spec, n))
         assert near_top.minimum()[0] < 0.0
         assert top.minimum()[0] > near_top.minimum()[0]
 
     def test_minimum_reports_grid_location(self):
-        state = random_angular_state(2.0, seed=21)
-        sphere = wigner_map(state)
+        sphere = multipole_wigner_map(random_angular_state(2.0, seed=21))
         value, theta, phi = sphere.minimum()
         i = int(np.argmin(np.abs(sphere.theta - theta)))
         j = int(np.argmin(np.abs(sphere.phi - phi)))
         assert sphere.values[i, j] == pytest.approx(value)
         assert value == pytest.approx(float(np.min(sphere.values)))
 
-    def test_no_scalar_symbols_and_one_harmonic_call(self, monkeypatch):
-        calls = {"sph_harm_y": 0, "sph_harm_y_all": 0}
+    def test_no_scalar_symbols_and_one_rotation_per_theta_node(self, monkeypatch):
+        calls = []
+        rotation = wigner.y_rotation_matrix
 
-        def counted(name):
-            original = getattr(wigner, name)
+        def counted(n, theta):
+            calls.append(theta)
+            return rotation(n, theta)
 
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(wigner, name, call)
-
-        counted("sph_harm_y")
-        counted("sph_harm_y_all")
-        state = angular_state_from_ensemble(
-            rotated_fock_state(20, 19, RotationSpec(0.5, 0.3))
-        )
+        monkeypatch.setattr(wigner, "y_rotation_matrix", counted)
+        state = rotated_fock_state(20, 19, RotationSpec(0.5, 0.3))
         before = _wigner_3j_doubled.cache_info()
-        wigner_map(state)
+        sphere = wigner_map(state)
         after = _wigner_3j_doubled.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
-        assert calls == {"sph_harm_y": 0, "sph_harm_y_all": 1}
+        assert calls == sphere.theta.tolist()
 
     def test_grid_bounds_enforced(self):
-        state = angular_state_from_ensemble(epr_minus_single(30))
+        state = epr_minus_single(30)
         with pytest.raises(DomainError):
             wigner_map(state, n_theta=30)
         with pytest.raises(DomainError):
@@ -431,9 +415,7 @@ class TestWignerMap:
 
     def test_custom_grid_above_bound(self):
         n = 3
-        state = angular_state_from_ensemble(
-            rotated_fock_state(n, 2, RotationSpec(0.4, 0.4))
-        )
+        state = rotated_fock_state(n, 2, RotationSpec(0.4, 0.4))
         sphere = wigner_map(state, n_theta=2 * n + 2, n_phi=4 * n + 2)
         assert sphere.values.shape == (2 * n + 2, 4 * n + 2)
         assert sphere.integrate() == pytest.approx(
@@ -448,6 +430,164 @@ class TestWignerMap:
         assert block.shape == (3, 5)
         single = wigner_values(state, thetas[1:2], phis[2:3])
         assert single[0, 0] == pytest.approx(block[1, 2], abs=1e-12)
+
+    def test_requires_normalized_state(self):
+        raw = EnsembleState(2, np.array([2.0, 0.0, 0.0]), normalized=False)
+        with pytest.raises(DomainError):
+            wigner_map(raw)
+
+    @pytest.mark.parametrize(
+        "n,atol", [(1, 1e-14), (7, 1e-14), (20, 2e-13), (40, 3e-11)]
+    )
+    def test_matches_multipole_map_on_pure_states(self, n, atol):
+        # The bound follows the multipole route's own Racah-sum error, which
+        # grows with N (measured: 5.4e-14 at N = 20, 6.8e-12 at N = 40).
+        resource = squeezing_run(n, 0.1)
+        spec = RotationSpec(0.8, 0.6)
+        for k in (n, n - 1, n // 2):
+            state = branch_state(resource, spec, k)
+            reference = multipole_wigner_map(angular_state_from_ensemble(state))
+            np.testing.assert_allclose(
+                wigner_map(state).values, reference.values, rtol=0.0, atol=atol
+            )
+
+
+class TestClebschGordanTable:
+    """T0[L, k] = <j m; j -m | L 0> against sympy's exact coefficients."""
+
+    @staticmethod
+    def reference(n: int, big_l: int, k: int) -> float:
+        j, m = Rational(n, 2), Rational(2 * k - n, 2)
+        return float(sympy_cg(j, j, big_l, m, -m, 0))
+
+    @pytest.mark.parametrize(
+        "n,stride_l,stride_k",
+        [(1, 1, 1), (2, 1, 1), (7, 1, 1), (20, 1, 1), (21, 1, 1), (40, 3, 4)],
+    )
+    def test_matches_sympy(self, n, stride_l, stride_k):
+        table = _m0_clebsch_gordan(n)
+        worst, mismatches = 0.0, 0
+        for big_l in range(0, n + 1, stride_l):
+            for k in range(0, n + 1, stride_k):
+                ref = self.reference(n, big_l, k)
+                worst = max(worst, abs(table[big_l, k] - ref))
+                # Signs are compared wherever the entry rises above the
+                # eigenvectors' absolute accuracy.
+                if abs(ref) > 1e-12 and np.sign(table[big_l, k]) != np.sign(ref):
+                    mismatches += 1
+        assert worst < 2e-14
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 21, 40, 121])
+    def test_rows_are_eigenvectors_with_l_l_plus_one(self, n):
+        k = np.arange(n + 1)
+        m = k - n / 2.0
+        j = n / 2.0
+        j_squared = (
+            np.diag(2.0 * j * (j + 1.0) - 2.0 * m**2)
+            + np.diag((k[:-1] + 1.0) * (n - k[:-1]), 1)
+            + np.diag((k[:-1] + 1.0) * (n - k[:-1]), -1)
+        )
+        table = _m0_clebsch_gordan(n)
+        eigenvalues = k * (k + 1.0)
+        residual = table @ j_squared - eigenvalues[:, None] * table
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(residual)) < 64 * n * n * eps
+        np.testing.assert_allclose(table @ table.T, np.eye(n + 1), atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 15, 20])
+    def test_kernel_weights_match_3j_sum(self, n):
+        j = n / 2.0
+        expected = []
+        for k in range(n + 1):
+            m = k - j
+            total = sum(
+                (2 * big_l + 1) * wigner_3j(j, j, big_l, m, -m, 0)
+                for big_l in range(n + 1)
+            )
+            expected.append((-1) ** (n - k) * total / math.sqrt(4.0 * math.pi))
+        # The Racah-sum symbols carry the larger error: 1.4e-13 at N = 20
+        # against the exact sum, where the weights are within 1.3e-14.
+        np.testing.assert_allclose(_kernel_weights(n), expected, rtol=0.0, atol=5e-13)
+
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_kernel_weights_match_exact_sum(self, n):
+        j = Rational(n, 2)
+        expected = []
+        for k in range(n + 1):
+            m = Rational(2 * k - n, 2)
+            total = sum(
+                math.sqrt(2 * big_l + 1) * float(sympy_cg(j, j, big_l, m, -m, 0))
+                for big_l in range(n + 1)
+            )
+            expected.append((-1) ** (n - k) * total / math.sqrt(4.0 * math.pi))
+        np.testing.assert_allclose(
+            _kernel_weights(n), expected, rtol=0.0,
+            atol=16 * n * np.finfo(float).eps,
+        )
+
+
+class TestDipoleIdentity:
+    """The map's L = 1 moment is Bob's spin: with S = 2J,
+
+        2 sqrt(j(j+1)(2j+1)) / sqrt(4 pi) * integral W n dOmega = <S>,
+
+    which ties the map's signs and phi convention to run_protocol's."""
+
+    @pytest.mark.parametrize("n", [20, 60])
+    @pytest.mark.parametrize("theta,phi", [(0.7, 1.3), (2.4, 5.0)])
+    def test_moment_equals_bob_spins(self, n, theta, phi):
+        resource = squeezing_run(n, find_optimal_time(n)[0])
+        spec = RotationSpec(theta, phi)
+        outcomes = run_protocol(resource, spec)
+        j = n / 2.0
+        scale = 2.0 * math.sqrt(j * (j + 1.0) * (2.0 * j + 1.0) / (4.0 * math.pi))
+        checked = 0
+        for k in (n, n - 1, n // 2 + 1, 3, 0):
+            if not outcomes[k].defined:
+                continue
+            sphere = wigner_map(branch_state(resource, spec, k))
+            th, ph = sphere.theta[:, None], sphere.phi[None, :]
+            weighted = sphere.values * sphere.weights
+            moment = [
+                scale * float(np.sum(weighted * np.sin(th) * np.cos(ph))),
+                scale * float(np.sum(weighted * np.sin(th) * np.sin(ph))),
+                scale * float(np.sum(weighted * np.cos(th))),
+            ]
+            # Per atom, within 16 N eps (measured: at most 3 N eps).
+            np.testing.assert_allclose(
+                moment, outcomes[k].bob_spins, rtol=0.0,
+                atol=16 * n * n * np.finfo(float).eps,
+            )
+            checked += 1
+        assert checked >= 3
+
+
+class TestMpmathReference:
+    """The kernel against an mpmath Stratonovich-kernel reference, on grid
+    points of the map's own grid, and no further from it than the
+    multipole route."""
+
+    @pytest.mark.parametrize(
+        "n,k,grid", [(10, 9, (22, 42)), (20, 19, (None, None))]
+    )
+    def test_kernel_at_least_as_close_as_multipoles(self, n, k, grid):
+        resource = squeezing_run(n, find_optimal_time(n)[0])
+        state = branch_state(resource, RotationSpec(0.5, 0.0), k)
+        sphere = wigner_map(state, *grid)
+        multipoles = multipole_wigner_map(angular_state_from_ensemble(state), *grid)
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, len(sphere.theta), size=8)
+        cols = rng.integers(0, len(sphere.phi), size=8)
+        kernel_err = multipole_err = 0.0
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            ref = mpmath_wigner_value(
+                state.amplitudes, sphere.theta[i], sphere.phi[j]
+            )
+            kernel_err = max(kernel_err, abs(sphere.values[i, j] - ref))
+            multipole_err = max(multipole_err, abs(multipoles.values[i, j] - ref))
+        assert kernel_err <= multipole_err
+        assert kernel_err < 8 * n * np.finfo(float).eps
 
 
 def epr_minus_single(n: int) -> EnsembleState:
