@@ -46,6 +46,7 @@ from .protocol import (
     FluctuationSpec,
     average_error,
     branch_state,
+    branch_statistics,
     fluctuating_spin_averages,
     outcome_probabilities,
     postselected_error,
@@ -297,16 +298,6 @@ def _resolve(ns: argparse.Namespace) -> ExperimentConfig:
 # --- serialization --------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # numpy float64 too; NaN prints as "nan"
-        return format(value, ".12g")
-    if value is None:
-        return "nan"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
-
-
 def _json_ready(value):
     """Round floats to 12 significant digits; map undefined cells to null."""
     if value is None:
@@ -327,27 +318,24 @@ def _json_text(payload: Mapping[str, object]) -> str:
     return json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _render(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
-    if not rows:
+def _render(header: Sequence[str], lines: Sequence[str], fmt: str) -> str:
+    """Output text from CSV record lines, whose cells read ``f"{x:.12g}"``.
+
+    JSON carries the same records: integers in the ``n`` and ``k`` columns,
+    the 12-digit floats elsewhere, and nan as null.
+    """
+    if not lines:
         raise DomainError("no records to write")
     if fmt == "csv":
-        # Sweep rows share their repeated cells (theta, k, p, ... across phi),
-        # so each cell object is formatted once, keyed by its id().  The rows
-        # keep every cell alive until this call returns, so no id can be
-        # reused by another cell while the memo lives.
-        memo: dict[int, str] = {}
-        lines = [",".join(header)]
-        for row in rows:
-            parts = []
-            for cell in row:
-                text = memo.get(id(cell))
-                if text is None:
-                    text = memo[id(cell)] = _fmt(cell)
-                parts.append(text)
-            lines.append(",".join(parts))
-        return "\n".join(lines) + "\n"
-    payload = {"header": list(header), "rows": _json_ready([list(r) for r in rows])}
+        return ",".join(header) + "\n" + "\n".join(lines) + "\n"
+    kinds = [int if name in ("n", "k") else float for name in header]
+    rows = [[kind(c) for kind, c in zip(kinds, line.split(","))] for line in lines]
+    payload = {"header": list(header), "rows": _json_ready(rows)}
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_line(row: Sequence) -> str:
+    return ",".join(f"{cell:.12g}" for cell in row)
 
 
 def write_output(text: str, path: str) -> dict[str, str]:
@@ -390,32 +378,45 @@ def _check_outcome(k: int, n: int) -> None:
         raise UsageError(f"--k: expected an outcome in [0, {n}], got {k}")
 
 
-def _branch_rows(resource, theta: float, phis: Sequence[float], k_sel):
-    """Rows (theta, phi, k, p, sx, sy, sz, e) for one polar angle, every phi.
+def _branch_columns(resource, theta: float, phis: Sequence[float], k_sel):
+    """The branches at one polar angle as columns: (k, p, sz, e), shared by
+    every phi, and one (phi, sx, sy) per phi.
 
     Alice measures behind U(theta, pi - phi), so phi reaches Bob only as the
     z-rotation exp(-i S^z phi/2) of his conditional state: p, e and <S^z>
     are those at phi = 0, and (<S^x>, <S^y>) turn by phi.  The protocol
-    thus runs once per polar angle.
+    thus runs once per polar angle.  Undefined branches hold NaN cells.
     """
     base = RotationSpec(theta, 0.0)
-    branches = [
-        o for o in run_protocol(resource, base) if k_sel is None or o.k == k_sel
-    ]
-    rows = []
+    probs, spins, errors, _ = branch_statistics(resource, base)
+    ks = np.arange(len(probs)) if k_sel is None else np.array([k_sel])
+    sx, sy, sz = spins[ks].T
+    turns = []
     for phi in phis:
         turn = RotationSpec(theta, phi).phi - base.phi
-        cos, sin = math.cos(turn), math.sin(turn)
-        for o in branches:
-            if not o.defined:
-                rows.append((theta, phi, o.k, o.probability, None, None, None, None))
-                continue
-            sx, sy, sz = o.bob_spins
-            rows.append(
-                (theta, phi, o.k, o.probability,
-                 cos * sx - sin * sy, sin * sx + cos * sy, sz, o.error)
-            )
-    return rows
+        c, s = math.cos(turn), math.sin(turn)
+        turns.append((phi, (c * sx - s * sy).tolist(), (s * sx + c * sy).tolist()))
+    return (ks.tolist(), probs[ks].tolist(), sz.tolist(), errors[ks].tolist()), turns
+
+
+def _branch_lines(resource, thetas, phis, k_sel) -> list[str]:
+    """Records (theta, phi, k, p, sx, sy, sz, e) over a grid of targets.
+
+    They are built one polar angle at a time: theta and each phi are
+    formatted once, each branch's ``k,p,`` head and ``,sz,e`` tail once, and
+    only sx and sy cell by cell.  An undefined branch reads nan,nan,nan,nan.
+    """
+    lines = []
+    for theta in thetas:
+        (ks, probs, szs, errors), turns = _branch_columns(resource, theta, phis, k_sel)
+        heads = [f"{k},{prob:.12g}," for k, prob in zip(ks, probs)]
+        tails = [f",{z:.12g},{e:.12g}" for z, e in zip(szs, errors)]
+        theta_cell = f"{theta:.12g},"
+        for phi, sx, sy in turns:
+            lead = f"{theta_cell}{phi:.12g},"
+            lines.extend(f"{lead}{head}{x:.12g},{y:.12g}{tail}"
+                         for head, x, y, tail in zip(heads, sx, sy, tails))
+    return lines
 
 
 def _error_point(resource, theta, phi, k_cut) -> tuple:
@@ -426,16 +427,6 @@ def _error_point(resource, theta, phi, k_cut) -> tuple:
     if k_cut is None:
         return (avg,)
     return (avg, *postselected_error(outcomes, k_cut))
-
-
-def _error_rows(resource, theta: float, phis: Sequence[float], k_cut):
-    """Rows (theta, phi, e[, e_ps, keep_p]) for one polar angle, every phi.
-
-    Like the branch probabilities, the errors do not depend on phi (see
-    :func:`_branch_rows`), so they are computed once per polar angle.
-    """
-    values = _error_point(resource, theta, 0.0, k_cut)
-    return [(theta, phi, *values) for phi in phis]
 
 
 @_command("optimal-time", "best common squeezing time for N atoms", _N,
@@ -469,20 +460,20 @@ def _run_squeeze(p) -> tuple[str, dict]:
           _N, _TAU, _THETA, _PHI)
 def _run_protocol_cmd(p) -> tuple[str, dict]:
     resource = squeezing_run(p["n"], p["tau"])
-    rows = _branch_rows(resource, p["theta"], [p["phi"]], None)
-    return _render(_BRANCH_HEADER, rows, p["format"]), {}
+    lines = _branch_lines(resource, [p["theta"]], [p["phi"]], None)
+    return _render(_BRANCH_HEADER, lines, p["format"]), {}
 
 
 @_command("prob-dist", "outcome probabilities over a polar grid",
           _N, _TAU, _THETA_PIN, _THETA_NODES)
 def _run_prob_dist(p) -> tuple[str, dict]:
     resource = squeezing_run(p["n"], p["tau"])
-    rows = [
-        (theta, k, float(prob))
-        for theta in _thetas(p)
-        for k, prob in enumerate(outcome_probabilities(resource, theta))
-    ]
-    return _render(("theta", "k", "p"), rows, p["format"]), {}
+    lines = []
+    for theta in _thetas(p):
+        theta_cell = f"{theta:.12g},"
+        lines.extend(f"{theta_cell}{k},{prob:.12g}" for k, prob
+                     in enumerate(outcome_probabilities(resource, theta).tolist()))
+    return _render(("theta", "k", "p"), lines, p["format"]), {}
 
 
 @_command(
@@ -494,12 +485,8 @@ def _run_spin_sweep(p) -> tuple[str, dict]:
     if p["k"] is not None:
         _check_outcome(p["k"], p["n"])
     resource = squeezing_run(p["n"], p["tau"])
-    phis = _phis(p)
-    rows = [
-        row for theta in _thetas(p)
-        for row in _branch_rows(resource, theta, phis, p["k"])
-    ]
-    return _render(_BRANCH_HEADER, rows, p["format"]), {}
+    lines = _branch_lines(resource, _thetas(p), _phis(p), p["k"])
+    return _render(_BRANCH_HEADER, lines, p["format"]), {}
 
 
 @_command(
@@ -523,23 +510,14 @@ def _run_wigner_map(p) -> tuple[str, dict]:
     except DomainError as exc:  # a node count below the exactness bound
         raise UsageError(f"--theta-nodes/--phi-nodes: {exc}") from exc
     grid = {"theta_nodes": len(sphere.theta), "phi_nodes": len(sphere.phi)}
-    header = ("theta", "phi", "w")
-    thetas, phis = sphere.theta.tolist(), sphere.phi.tolist()
-    if p["format"] == "json":
-        rows = [
-            (theta, phi, w)
-            for theta, values in zip(thetas, sphere.values.tolist())
-            for phi, w in zip(phis, values)
-        ]
-        return _render(header, rows, "json"), grid
-    # Columnar CSV: each phi cell is formatted once, each theta once per
-    # block, and only the values cell by cell; the bytes are _render's.
-    phi_cells = [f"{phi:.12g}," for phi in phis]
-    lines = [",".join(header)]
-    for theta, values in zip(thetas, sphere.values.tolist()):
+    # By columns: each phi cell is formatted once, each theta once per
+    # block, and only the values cell by cell.
+    phi_cells = [f"{phi:.12g}," for phi in sphere.phi.tolist()]
+    lines = []
+    for theta, values in zip(sphere.theta.tolist(), sphere.values.tolist()):
         head = f"{theta:.12g},"
         lines.extend(f"{head}{phi}{w:.12g}" for phi, w in zip(phi_cells, values))
-    return "\n".join(lines) + "\n", grid
+    return _render(("theta", "phi", "w"), lines, p["format"]), grid
 
 
 @_command(
@@ -570,23 +548,26 @@ def _run_error_sweep(p) -> tuple[str, dict]:
             )
     columns = ("e",) if k_cut is None else ("e", "e_ps", "keep_p")
     if n_list is None:
+        # The errors do not depend on phi (see _branch_columns), so each
+        # polar angle's values are computed and formatted once.
         resource = squeezing_run(p["n"], p["tau"])
-        phis = _phis(p)
-        rows = [
-            row for theta in _thetas(p)
-            for row in _error_rows(resource, theta, phis, k_cut)
-        ]
-        return _render(("theta", "phi", *columns), rows, p["format"]), {}
+        phis, lines = _phis(p), []
+        for theta in _thetas(p):
+            theta_cell = f"{theta:.12g},"
+            tail = "," + _csv_line(_error_point(resource, theta, 0.0, k_cut))
+            lines.extend(f"{theta_cell}{phi:.12g}{tail}" for phi in phis)
+        return _render(("theta", "phi", *columns), lines, p["format"]), {}
 
     # Error versus ensemble size at one target direction.
     theta, phi = p["theta"], p["phi"]
-    tau_by_n, rows = {}, []
+    tau_by_n, lines = {}, []
     for n in n_list:
         tau = p["tau"] if p["tau"] is not None else _optimal_tau(n)
         tau_by_n[str(n)] = tau
         resource = squeezing_run(n, tau)
-        rows.append((n, theta, phi, *_error_point(resource, theta, phi, k_cut)))
-    text = _render(("n", "theta", "phi", *columns), rows, p["format"])
+        lines.append(
+            _csv_line((n, theta, phi, *_error_point(resource, theta, phi, k_cut))))
+    text = _render(("n", "theta", "phi", *columns), lines, p["format"])
     return text, {"tau_by_n": tau_by_n}
 
 
@@ -618,8 +599,9 @@ def _run_fluctuation(p) -> tuple[str, dict]:
             "outcome exceeded the shot's atom number",
             file=sys.stderr,
         )
-    rows = [(theta, p["phi"], *result.spins) for theta, result in zip(thetas, results)]
-    text = _render(("theta", "phi", "sx", "sy", "sz"), rows, p["format"])
+    lines = [_csv_line((theta, p["phi"], *result.spins))
+             for theta, result in zip(thetas, results)]
+    text = _render(("theta", "phi", "sx", "sy", "sz"), lines, p["format"])
     return text, {"skipped_terms": skipped}
 
 

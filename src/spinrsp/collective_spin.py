@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_jacobi, gammaln
 
 from .errors import DomainError
 
@@ -103,6 +102,7 @@ def _y_rotation_exponents(n: int, kp, k):
     the powers as logarithms, so elements that underflow stay exact to
     rounding.
     """
+    from scipy.special import gammaln  # here, off the CLI's import time
     kp = np.asarray(kp, dtype=float)
     k = np.asarray(k, dtype=float)
     kp, k = np.broadcast_arrays(kp, k)
@@ -166,6 +166,7 @@ def rotation_log_column(
     :func:`y_rotation_matrix` underflow to zero; here they keep their full
     relative precision.
     """
+    from scipy.special import eval_jacobi  # see _y_rotation_exponents
     if not 0 <= k <= n_atoms:
         raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
     kp = np.arange(n_atoms + 1)

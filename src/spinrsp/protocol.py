@@ -43,6 +43,7 @@ __all__ = [
     "ProtocolOutcome",
     "FluctuationSpec",
     "FluctuationResult",
+    "branch_statistics",
     "run_protocol",
     "outcome_probabilities",
     "branch_state",
@@ -207,10 +208,15 @@ def _alice_conjugate_phases(resource: DiagonalPairState, spec: RotationSpec):
     return np.exp(1j * m * _alice_spec(spec).phi / 2.0)
 
 
-def run_protocol(
+def branch_statistics(
     resource: DiagonalPairState, spec: RotationSpec
-) -> list[ProtocolOutcome]:
-    """All measurement branches of one protocol round.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All measurement branches of one protocol round, as arrays over k:
+    (probability, Bob's normalized spins (N+1, 3), error, defined).
+
+    The entries are those of :class:`ProtocolOutcome`; a branch below the
+    zero-probability cut (``defined`` false) has probability 0 and NaN
+    spins and error.
 
     The resource must already be in the protocol frame (``frame_rotated``);
     the 2A2S state needs the explicit phase rotation, the spin-EPR state is
@@ -229,6 +235,7 @@ def run_protocol(
     probs, moments = _branch_moments(resource, spec.theta, phases)[1]
     defined = probs >= _ZERO_PROBABILITY
     spins = moments / np.where(defined, probs, 1.0)[:, None]
+    spins[~defined] = np.nan
     m = 2 * np.arange(n + 1) - n
     length = np.abs(m) * math.sin(spec.theta)
     ideal = np.stack(
@@ -237,12 +244,19 @@ def run_protocol(
         axis=1,
     )
     errors = np.linalg.norm(spins - ideal, axis=1) / (2.0 * n)
+    return np.where(defined, probs, 0.0), spins, errors, defined
+
+
+def run_protocol(
+    resource: DiagonalPairState, spec: RotationSpec
+) -> list[ProtocolOutcome]:
+    """:func:`branch_statistics` as one :class:`ProtocolOutcome` per branch."""
+    probs, spins, errors, defined = branch_statistics(resource, spec)
+    n = len(probs) - 1
     return [
-        ProtocolOutcome(k, float(probs[k]), tuple(spins[k].tolist()),
-                        float(errors[k]), k < n / 2)
-        if defined[k]
-        else ProtocolOutcome(k, 0.0, None, None, k < n / 2)
-        for k in range(n + 1)
+        ProtocolOutcome(k, p, tuple(s) if ok else None, e if ok else None, k < n / 2)
+        for k, (p, s, e, ok) in enumerate(zip(
+            probs.tolist(), spins.tolist(), errors.tolist(), defined.tolist()))
     ]
 
 

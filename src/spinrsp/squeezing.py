@@ -81,7 +81,8 @@ class VarianceTriple:
     var_zm: float  # Var(S^z_A - S^z_B)
 
 
-@lru_cache(maxsize=4096)
+# Small: only (N, N) is shared, by the resource and find_optimal_time.
+@lru_cache(maxsize=4)
 def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the 2A2S Hamiltonian H/J on the states
     |N_A - d, N_B - d>, d = 0..min(N_A, N_B), reachable from |N_A, N_B>.
@@ -173,8 +174,8 @@ def squeezing_run(n_atoms: int, tau: float) -> DiagonalPairState:
     return apply_frame_rotation(evolve_2a2s(n_atoms, tau))
 
 
-# Grid of the first-peak scan over (0, pi/2], and the width at which the
-# golden-section refinement stops.
+# Step of the first-peak scan over (0, pi/2], capped at 1/N so that the peak
+# (near 5/N) spans several points, and the refinement's final bracket width.
 _SCAN_STEP = 1e-3
 _REFINE_TOL = 1e-7
 
@@ -200,7 +201,8 @@ def find_optimal_time(n_atoms: int) -> tuple[float, float]:
     def fid(t: float) -> float:
         return float(abs((bra * np.exp(-1j * evals * t)) @ c0) ** 2)
 
-    taus = np.arange(_SCAN_STEP, math.pi / 2 + 1e-12, _SCAN_STEP)
+    step = min(_SCAN_STEP, 1.0 / n_atoms)
+    taus = np.arange(step, math.pi / 2 + 1e-12, step)
     vals = [fid(taus[0])]
     i = len(taus) - 1  # the peak's index: the grid's end if nothing descends
     for j in range(1, len(taus)):

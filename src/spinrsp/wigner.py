@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .collective_spin import EnsembleState, y_rotation_matrix
 from .errors import DomainError
@@ -42,6 +41,8 @@ def _wigner_3j_doubled(
         return 0.0
     if dj3 > dj1 + dj2 or dj3 < abs(dj1 - dj2) or (dj1 + dj2 + dj3) % 2:
         return 0.0
+
+    from scipy.special import gammaln  # on first use, as in collective_spin
 
     def lf(doubled: int) -> float:
         # log((doubled/2)!) for an even non-negative doubled integer

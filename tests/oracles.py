@@ -20,7 +20,9 @@ Everything here is built by a different route than the library code:
 - single Wigner values in mpmath from the Stratonovich kernel, with
   sympy's exact Clebsch-Gordan coefficients;
 - the optimal squeezing time from the argmax of the whole 1e-3 scan grid;
-- CSV text with every cell formatted on its own.
+- sweep rows one tuple per record, from the per-branch outcomes of
+  ``run_protocol``, and CSV and JSON text with every cell formatted on its
+  own.
 
 Tests compare the fast library implementations against these oracles.  The
 per-branch protocol loop rebuilds every branch as its own state, with the
@@ -33,6 +35,7 @@ so they live here rather than in the library.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +62,13 @@ from spinrsp.errors import (
     SearchFailureError,
     UndefinedOutcomeError,
 )
-from spinrsp.protocol import FluctuationResult, FluctuationSpec
+from spinrsp.protocol import (
+    FluctuationResult,
+    FluctuationSpec,
+    average_error,
+    postselected_error,
+    run_protocol,
+)
 from spinrsp.squeezing import (
     DiagonalPairState,
     _eigensystem,
@@ -1046,7 +1055,50 @@ def argmax_optimal_time(
     return tau_opt, fid(tau_opt)
 
 
-# --- CSV rendering one cell at a time -----------------------------------------
+# --- sweep rows and CSV rendering one cell at a time ------------------------
+
+
+def branch_rows(resource, theta: float, phis, k_sel):
+    """Rows (theta, phi, k, p, sx, sy, sz, e) for one polar angle, every phi.
+
+    The protocol runs once at phi = 0; phi turns (<S^x>, <S^y>) of each
+    branch as Bob's z-rotation, with the library's floating-point steps.
+    Undefined branches hold None.
+    """
+    base = RotationSpec(theta, 0.0)
+    branches = [
+        o for o in run_protocol(resource, base) if k_sel is None or o.k == k_sel
+    ]
+    rows = []
+    for phi in phis:
+        turn = RotationSpec(theta, phi).phi - base.phi
+        cos, sin = math.cos(turn), math.sin(turn)
+        for o in branches:
+            if not o.defined:
+                rows.append((theta, phi, o.k, o.probability, None, None, None, None))
+                continue
+            sx, sy, sz = o.bob_spins
+            rows.append(
+                (theta, phi, o.k, o.probability,
+                 cos * sx - sin * sy, sin * sx + cos * sy, sz, o.error)
+            )
+    return rows
+
+
+def error_point(resource, theta: float, phi: float, k_cut) -> tuple:
+    """(e,) at one target, or (e, e_ps, keep_p) with a post-selection cut."""
+    outcomes = run_protocol(resource, RotationSpec(theta, phi))
+    avg = average_error(outcomes)
+    if k_cut is None:
+        return (avg,)
+    return (avg, *postselected_error(outcomes, k_cut))
+
+
+def error_rows(resource, theta: float, phis, k_cut):
+    """Rows (theta, phi, e[, e_ps, keep_p]) for one polar angle, every phi,
+    the errors taken once at phi = 0."""
+    values = error_point(resource, theta, 0.0, k_cut)
+    return [(theta, phi, *values) for phi in phis]
 
 
 def _per_cell_fmt(value) -> str:
@@ -1065,3 +1117,17 @@ def per_cell_csv(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_per_cell_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def per_cell_json(header, rows) -> str:
+    """JSON text of the same rows: each float rounded to its 12-digit CSV
+    cell on its own, None and NaN as null."""
+
+    def cell(value):
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            return int(value)
+        text = _per_cell_fmt(value)
+        return None if text == "nan" else float(text)
+
+    payload = {"header": list(header), "rows": [[cell(v) for v in r] for r in rows]}
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

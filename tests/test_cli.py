@@ -15,12 +15,21 @@ import spinrsp.cli as cli
 import spinrsp.protocol as protocol
 from oracles import (
     _per_cell_fmt,
+    branch_rows,
+    error_point,
+    error_rows,
     loop_average_error,
     loop_postselected_error,
     per_branch_protocol,
     per_cell_csv,
+    per_cell_json,
 )
 from spinrsp.collective_spin import EnsembleState, RotationSpec
+from spinrsp.protocol import (
+    FluctuationSpec,
+    fluctuating_spin_averages,
+    outcome_probabilities,
+)
 from spinrsp.squeezing import DiagonalPairState, squeezing_run
 
 
@@ -28,13 +37,14 @@ def run_main(*args) -> int:
     return cli.main(list(args))
 
 
-def run_process(*args):
-    """Run the CLI in a child interpreter that imports this same package."""
+def run_process(*args, argv=("-m", "spinrsp.cli")):
+    """Run the CLI (or other ``argv``) in a child interpreter that imports
+    this same package."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "spinrsp.cli", *args],
+        [sys.executable, *argv, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -78,14 +88,17 @@ class TestValueParsing:
             cli._parse_rule("-2", "--rule")
 
     def test_float_formatting(self):
-        assert cli._fmt(None) == "nan"
-        assert cli._fmt(float("nan")) == "nan"
-        assert cli._fmt(np.int64(3)) == "3"
-        assert cli._fmt(0.5) == "0.5"
-        assert cli._fmt(math.pi / 2) == "1.57079632679"
-        for cell in (True, -0.0, 1e-320, float("inf"), np.float64(2.0 / 3.0),
-                     np.float64("nan"), np.float32(0.1)):
-            assert cli._fmt(cell) == _per_cell_fmt(cell), cell
+        # The writers format every cell, integers and NaN included, as
+        # f"{x:.12g}"; the per-cell oracle writes None as nan.
+        assert _per_cell_fmt(None) == "nan"
+        assert f"{float('nan'):.12g}" == "nan"
+        assert f"{-float('nan'):.12g}" == "nan"
+        assert f"{np.int64(3):.12g}" == "3"
+        assert f"{0.5:.12g}" == "0.5"
+        assert f"{math.pi / 2:.12g}" == "1.57079632679"
+        for cell in (True, 7, 123456789, -0.0, 1e-320, float("inf"),
+                     np.float64(2.0 / 3.0), np.float64("nan"), np.float32(0.1)):
+            assert f"{cell:.12g}" == _per_cell_fmt(cell), cell
 
 
 class TestRendering:
@@ -93,11 +106,9 @@ class TestRendering:
         resource = DiagonalPairState(
             2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
         )
-        rows = cli._branch_rows(resource, 0.0, [0.0], None)
-        text = cli._render(
-            ("theta", "phi", "k", "p", "sx", "sy", "sz", "e"), rows, "csv"
-        )
-        lines = text.splitlines()
+        lines = cli._render(
+            cli._BRANCH_HEADER, cli._branch_lines(resource, [0.0], [0.0], None), "csv"
+        ).splitlines()
         assert lines[1] == "0,0,0,0,nan,nan,nan,nan"
         assert lines[2].startswith("0,0,1,1,")
         assert lines[3] == "0,0,2,0,nan,nan,nan,nan"
@@ -106,10 +117,8 @@ class TestRendering:
         resource = DiagonalPairState(
             2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
         )
-        rows = cli._branch_rows(resource, 0.0, [0.0], None)
-        payload = json.loads(
-            cli._render(("theta", "phi", "k", "p", "sx", "sy", "sz", "e"), rows, "json")
-        )
+        lines = cli._branch_lines(resource, [0.0], [0.0], None)
+        payload = json.loads(cli._render(cli._BRANCH_HEADER, lines, "json"))
         assert payload["header"] == ["theta", "phi", "k", "p", "sx", "sy", "sz", "e"]
         assert payload["rows"][0][4:] == [None, None, None, None]
 
@@ -121,22 +130,55 @@ class TestRendering:
 
 
 class TestMemoizedRender:
-    """The CSV renderer formats each shared cell object once; its bytes must
-    equal the per-cell oracle on the rows every subcommand builds."""
+    """Every subcommand's CSV must equal the per-cell oracle on the rows the
+    oracle row builders make from the run's resolved configuration."""
 
     @staticmethod
-    def render_both(tmp_path, monkeypatch, *args):
-        calls = []
-        render = cli._render
+    def oracle_rows(subcommand, p):
+        """(header, rows) one tuple per record, every cell on its own."""
+        if subcommand == "fluctuation":
+            fspec = FluctuationSpec(p["nbar"], p["sigma0"], p["truncation"], p["rule"])
+            thetas = cli._thetas(p)
+            results = fluctuating_spin_averages(
+                fspec, [RotationSpec(t, p["phi"]) for t in thetas], p["tau"]
+            )
+            rows = [(t, p["phi"], *r.spins) for t, r in zip(thetas, results)]
+            return ("theta", "phi", "sx", "sy", "sz"), rows
+        if subcommand == "error-sweep" and p["n_list"] is not None:
+            columns = ("e",) if p["k_cut"] is None else ("e", "e_ps", "keep_p")
+            rows = []
+            for n in p["n_list"]:
+                tau = p["tau"] if p["tau"] is not None else cli._optimal_tau(n)
+                resource = squeezing_run(n, tau)
+                rows.append((n, p["theta"], p["phi"],
+                             *error_point(resource, p["theta"], p["phi"], p["k_cut"])))
+            return ("n", "theta", "phi", *columns), rows
+        resource = squeezing_run(p["n"], p["tau"])
+        if subcommand == "prob-dist":
+            rows = [
+                (theta, k, float(prob)) for theta in cli._thetas(p)
+                for k, prob in enumerate(outcome_probabilities(resource, theta))
+            ]
+            return ("theta", "k", "p"), rows
+        if subcommand == "error-sweep":
+            columns = ("e",) if p["k_cut"] is None else ("e", "e_ps", "keep_p")
+            phis = cli._phis(p)
+            rows = [row for theta in cli._thetas(p)
+                    for row in error_rows(resource, theta, phis, p["k_cut"])]
+            return ("theta", "phi", *columns), rows
+        if subcommand == "protocol":
+            rows = branch_rows(resource, p["theta"], [p["phi"]], None)
+        else:
+            phis = cli._phis(p)
+            rows = [row for theta in cli._thetas(p)
+                    for row in branch_rows(resource, theta, phis, p["k"])]
+        return cli._BRANCH_HEADER, rows
 
-        def spy(header, rows, fmt):
-            calls.append((header, rows))
-            return render(header, rows, fmt)
-
-        monkeypatch.setattr(cli, "_render", spy)
+    def render_both(self, tmp_path, monkeypatch, *args):
         out = tmp_path / "out.csv"
         assert run_main(*args, "--out", str(out)) == 0
-        ((header, rows),) = calls
+        config = cli.parse_config([*args, "--out", str(out)])
+        header, rows = self.oracle_rows(config.subcommand, config.params)
         return out.read_bytes(), per_cell_csv(header, rows).encode("utf-8")
 
     @pytest.mark.parametrize("theta", ["0", "0.7", "pi:1"])
@@ -194,6 +236,41 @@ class TestMemoizedRender:
         ]
         oracle = per_cell_csv(("theta", "phi", "w"), rows)
         return out.read_bytes(), oracle.encode("utf-8")
+
+
+class TestBlockWriter:
+    """The branch table is written one polar angle at a time from arrays;
+    its bytes must equal the per-cell oracle on the oracle's row tuples."""
+
+    # theta = 0 and pi, theta > pi (folded), and azimuths outside [0, 2 pi).
+    THETAS = (0.0, 0.7, math.pi, 4.0)
+    PHIS = (0.0, 1.3, -2.0, 7.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 200])
+    @pytest.mark.parametrize("case", ["all", "k-pinned", "tau0"])
+    def test_bytes_match_oracle_rows(self, n, case):
+        resource = squeezing_run(n, 0.0 if case == "tau0" else 2.4 / n)
+        k_sel = n // 2 if case == "k-pinned" else None
+        rows = [row for theta in self.THETAS
+                for row in branch_rows(resource, theta, self.PHIS, k_sel)]
+        lines = cli._branch_lines(resource, self.THETAS, self.PHIS, k_sel)
+        csv_text = cli._render(cli._BRANCH_HEADER, lines, "csv")
+        assert csv_text == per_cell_csv(cli._BRANCH_HEADER, rows)
+        json_text = cli._render(cli._BRANCH_HEADER, lines, "json")
+        assert json_text == per_cell_json(cli._BRANCH_HEADER, rows)
+        if case == "tau0":
+            # |N>|N> leaves most branches below the probability cut.
+            assert ",nan,nan,nan,nan\n" in csv_text
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_special(self):
+        # Only the log column, the fluctuation engine and the unused scalar
+        # 3j symbol need scipy.special; they import it on first use.
+        proc = run_process(argv=(
+            "-c", "import sys, spinrsp.cli; print('scipy.special' in sys.modules)"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDefaultTauAtLargeN:
@@ -418,7 +495,15 @@ class TestPhiAsBobRotation:
     @pytest.mark.parametrize("k_sel", [None, 0, 9])
     def test_branch_rows_match_per_point_protocol(self, resource, k_sel):
         for theta in self.THETAS:
-            rows = cli._branch_rows(resource, theta, self.PHIS, k_sel)
+            (ks, probs, szs, errors), turns = cli._branch_columns(
+                resource, theta, self.PHIS, k_sel
+            )
+            rows = [
+                (theta, phi, k, prob, *(None if math.isnan(e) else v
+                                        for v in (x, y, z, e)))
+                for phi, sx, sy in turns
+                for k, prob, x, y, z, e in zip(ks, probs, sx, sy, szs, errors)
+            ]
             expected = [
                 row
                 for phi in self.PHIS
@@ -428,8 +513,10 @@ class TestPhiAsBobRotation:
 
     @pytest.mark.parametrize("k_cut", [None, 0, 3])
     def test_error_rows_match_per_point_errors(self, resource, k_cut):
+        # error-sweep takes each polar angle's errors once, at phi = 0.
         for theta in self.THETAS:
-            rows = cli._error_rows(resource, theta, self.PHIS, k_cut)
+            values = cli._error_point(resource, theta, 0.0, k_cut)
+            rows = [(theta, phi, *values) for phi in self.PHIS]
             expected = []
             for phi in self.PHIS:
                 loop = per_branch_protocol(resource, RotationSpec(theta, phi))
@@ -515,7 +602,7 @@ class TestOnePassPerTheta:
 
     def test_spin_sweep_row_builds_no_states(self, tmp_path, monkeypatch):
         states = self.count_calls(monkeypatch, "__post_init__", EnsembleState)
-        runs = self.count_calls(monkeypatch, "run_protocol", protocol, cli)
+        runs = self.count_calls(monkeypatch, "branch_statistics", protocol, cli)
         assert run_main(
             "spin-sweep", "--n", "200", "--tau", "0.01", "--theta", "pi:0.3",
             "--phi-nodes", "2", "--out", str(tmp_path / "ss.csv"),

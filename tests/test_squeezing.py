@@ -250,17 +250,20 @@ class TestOptimalTime:
         # stopping at the first descent must not move tau_opt or F by a bit.
         assert find_optimal_time(n) == argmax_optimal_time(n)
 
-    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("n", [1000, 2000, 6000])
     def test_first_peak_at_large_n(self, n):
         # The first peak narrows like 1/N; at these N the grid's global
         # maximum is a later revival (F ~ 0.82 near tau ~ 0.97 at N = 1000).
+        # Above N ~ 5000 the peak (0.000895 at N = 6000) lies below a 1e-3
+        # grid's first point, so the scan step must shrink with N.
         # Reference: the first local maximum of a uniform 1e-5 grid over
         # (0, 8/N], then the maximum of a 1e-7 grid within one step of it,
         # from an eigensystem built off the oracle couplings.
         evals, evecs = eigh_tridiagonal(np.zeros(n + 1), coupling_strengths(n))
         target = epr_minus(n).psi * frame_phase_vector(n).conj() ** 2
         bra = np.conj(target) @ evecs
-        c0 = evecs[n, :]
+        c0 = evecs[n, :].copy()
+        del evecs  # (N+1)^2 doubles: 288 MB at N = 6000
 
         def fids(taus):
             return np.abs(np.exp(-1j * np.outer(taus, evals)) @ (bra * c0)) ** 2
@@ -271,9 +274,20 @@ class TestOptimalTime:
         fine = coarse[first] + np.arange(-100, 101) * 1e-7
         tau_ref = fine[int(fids(fine).argmax())]
 
-        tau_opt, fid = find_optimal_time(n)
+        try:
+            tau_opt, fid = find_optimal_time(n)
+        finally:
+            _eigensystem.cache_clear()  # release the large eigenvectors
         assert abs(tau_opt - tau_ref) < 2e-6
         assert fid >= 0.899
+
+    def test_resource_reuses_optimal_time_eigensystem(self):
+        # Only (N, N) is shared: find_optimal_time's solve serves the
+        # resource, so the pair costs one cache miss, not two.
+        _eigensystem.cache_clear()
+        tau_opt, _ = find_optimal_time(37)
+        squeezing_run(37, tau_opt)
+        assert _eigensystem.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_unimodal_on_scan_grid(self):
         n = 12
