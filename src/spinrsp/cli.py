@@ -27,6 +27,7 @@ parses and checks their values, and gives the manifest its echo.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -50,7 +51,6 @@ from .protocol import (
     fluctuating_spin_averages,
     outcome_probabilities,
     postselected_error,
-    run_protocol,
 )
 from .squeezing import (
     epr_minus,
@@ -422,11 +422,11 @@ def _branch_lines(resource, thetas, phis, k_sel) -> list[str]:
 def _error_point(resource, theta, phi, k_cut) -> tuple:
     """(average error,) at one target, or with a cut (average error,
     post-selected error, kept probability)."""
-    outcomes = run_protocol(resource, RotationSpec(theta, phi))
-    avg = average_error(outcomes)
+    branches = branch_statistics(resource, RotationSpec(theta, phi))
+    avg = average_error(branches)
     if k_cut is None:
         return (avg,)
-    return (avg, *postselected_error(outcomes, k_cut))
+    return (avg, *postselected_error(branches, k_cut))
 
 
 @_command("optimal-time", "best common squeezing time for N atoms", _N,
@@ -589,18 +589,17 @@ def _run_error_sweep(p) -> tuple[str, dict]:
 def _run_fluctuation(p) -> tuple[str, dict]:
     fspec = FluctuationSpec(p["nbar"], p["sigma0"], p["truncation"], p["rule"])
     thetas = _thetas(p)
-    results = fluctuating_spin_averages(
+    spins, skipped = fluctuating_spin_averages(
         fspec, [RotationSpec(theta, p["phi"]) for theta in thetas], p["tau"]
     )
-    skipped = sum(result.skipped_terms for result in results)
     if skipped:
         print(
             f"warning: skipped {skipped} fluctuation terms where the fixed "
             "outcome exceeded the shot's atom number",
             file=sys.stderr,
         )
-    lines = [_csv_line((theta, p["phi"], *result.spins))
-             for theta, result in zip(thetas, results)]
+    lines = [_csv_line((theta, p["phi"], *row))
+             for theta, row in zip(thetas, spins.tolist())]
     text = _render(("theta", "phi", "sx", "sy", "sz"), lines, p["format"])
     return text, {"skipped_terms": skipped}
 
@@ -608,7 +607,9 @@ def _run_fluctuation(p) -> tuple[str, dict]:
 # --- entry points -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="spinrsp",
         description="Remote state preparation between spin ensembles: "

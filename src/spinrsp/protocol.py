@@ -40,11 +40,8 @@ from .errors import (
 from .squeezing import DiagonalPairState, evolve_pair
 
 __all__ = [
-    "ProtocolOutcome",
     "FluctuationSpec",
-    "FluctuationResult",
     "branch_statistics",
-    "run_protocol",
     "outcome_probabilities",
     "branch_state",
     "average_error",
@@ -54,29 +51,6 @@ __all__ = [
 ]
 
 _ZERO_PROBABILITY = 1e-14
-
-
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    """One measurement branch: outcome k, its probability, Bob's spins.
-
-    ``bob_spins`` is (<S^x>, <S^y>, <S^z>) of Bob's normalized conditional
-    state and ``error`` its Bloch-sphere distance (1/2N) |<S> - <S>_ideal|
-    from the spin-EPR outcome, in [0, 1].  Zero-probability branches are
-    represented with ``probability = 0`` and no conditional state
-    (``bob_spins`` and ``error`` are None); consumers must skip them.  The
-    state itself is built on demand by :func:`branch_state`.
-    """
-
-    k: int
-    probability: float
-    bob_spins: tuple[float, float, float] | None
-    error: float | None
-    correction_applied: bool
-
-    @property
-    def defined(self) -> bool:
-        return self.bob_spins is not None
 
 
 @dataclass(frozen=True)
@@ -125,18 +99,6 @@ class FluctuationSpec:
         if self.outcome_rule == "lowest":
             return 0
         return int(self.outcome_rule)
-
-
-@dataclass(frozen=True)
-class FluctuationResult:
-    """Statistically averaged, per-atom Bob spin expectations.
-
-    ``skipped_terms`` counts (N_A, N_B) terms dropped because a fixed
-    outcome_rule exceeded that shot's N_A.
-    """
-
-    spins: tuple[float, float, float]
-    skipped_terms: int
 
 
 def _alice_spec(spec: RotationSpec) -> RotationSpec:
@@ -214,9 +176,11 @@ def branch_statistics(
     """All measurement branches of one protocol round, as arrays over k:
     (probability, Bob's normalized spins (N+1, 3), error, defined).
 
-    The entries are those of :class:`ProtocolOutcome`; a branch below the
-    zero-probability cut (``defined`` false) has probability 0 and NaN
-    spins and error.
+    Row k of ``spins`` is (<S^x>, <S^y>, <S^z>) of Bob's normalized
+    conditional state and ``error[k]`` its Bloch-sphere distance
+    (1/2N) |<S> - <S>_ideal| from the spin-EPR outcome, in [0, 1].  A branch
+    below the zero-probability cut (``defined`` false) has probability 0
+    and NaN spins and error; :func:`branch_state` builds the state itself.
 
     The resource must already be in the protocol frame (``frame_rotated``);
     the 2A2S state needs the explicit phase rotation, the spin-EPR state is
@@ -247,24 +211,11 @@ def branch_statistics(
     return np.where(defined, probs, 0.0), spins, errors, defined
 
 
-def run_protocol(
-    resource: DiagonalPairState, spec: RotationSpec
-) -> list[ProtocolOutcome]:
-    """:func:`branch_statistics` as one :class:`ProtocolOutcome` per branch."""
-    probs, spins, errors, defined = branch_statistics(resource, spec)
-    n = len(probs) - 1
-    return [
-        ProtocolOutcome(k, p, tuple(s) if ok else None, e if ok else None, k < n / 2)
-        for k, (p, s, e, ok) in enumerate(zip(
-            probs.tolist(), spins.tolist(), errors.tolist(), defined.tolist()))
-    ]
-
-
 def outcome_probabilities(resource: DiagonalPairState, theta: float) -> np.ndarray:
     """P_k(theta) = sum_k' |psi_k'|^2 |<k| exp(i S^y theta/2) |k'>|^2.
 
-    The same P as :func:`run_protocol`, without its zero-probability cut.
-    Independent of phi and of any diagonal phases on the resource (in
+    The same P as :func:`branch_statistics`, without its zero-probability
+    cut.  Independent of phi and of any diagonal phases on the resource (in
     particular of whether the frame rotation was applied).
     """
     return _branch_moments(resource, theta, 1.0)[1][0]
@@ -275,7 +226,7 @@ def branch_state(
 ) -> EnsembleState:
     """Bob's normalized conditional state for Alice's outcome k.
 
-    The branch :func:`run_protocol` summarizes, built for one k where a
+    The branch :func:`branch_statistics` summarizes, built for one k where a
     caller needs the state itself.  Raises :class:`UndefinedOutcomeError`
     for a branch below the zero-probability cut.
     """
@@ -296,30 +247,35 @@ def branch_state(
     return EnsembleState(n, amps / math.sqrt(p))
 
 
-def average_error(outcomes: Sequence[ProtocolOutcome]) -> float:
-    """Probability-weighted mean of the branch errors; undefined branches skipped."""
-    return float(sum(o.probability * o.error for o in outcomes if o.defined))
+def average_error(branches: tuple) -> float:
+    """Probability-weighted mean of the branch errors; undefined branches skipped.
+
+    ``branches`` is the tuple of :func:`branch_statistics`.  The products
+    are summed left to right in k.
+    """
+    probs, _, errors, defined = branches
+    return float(sum((probs * errors)[defined].tolist()))
 
 
-def postselected_error(
-    outcomes: Sequence[ProtocolOutcome], k_cut: int
-) -> tuple[float, float]:
+def postselected_error(branches: tuple, k_cut: int) -> tuple[float, float]:
     """Error averaged over the extremal outcomes k <= k_cut or k >= N - k_cut.
 
-    ``outcomes`` is the full branch list of :func:`run_protocol`.  Returns
+    ``branches`` is the tuple of :func:`branch_statistics`.  Returns
     (post-selected error, kept probability).  Raises
     :class:`EmptyPostSelectionError` when the kept set has zero probability.
     """
-    n = len(outcomes) - 1
+    probs, _, errors, defined = branches
+    n = len(probs) - 1
     if not 0 <= k_cut < n / 2:
         raise DomainError(f"k_cut must lie in [0, N/2) = [0, {n / 2}), got {k_cut}")
-    kept = [o for o in outcomes if o.k <= k_cut or o.k >= n - k_cut]
-    keep_p = sum(o.probability for o in kept)
+    k = np.arange(n + 1)
+    kept = (k <= k_cut) | (k >= n - k_cut)
+    keep_p = sum(probs[kept].tolist())
     if keep_p < _ZERO_PROBABILITY:
         raise EmptyPostSelectionError(
             f"post-selection with k_cut={k_cut} kept zero probability"
         )
-    return average_error(kept) / keep_p, keep_p
+    return float(sum((probs * errors)[kept & defined].tolist())) / keep_p, keep_p
 
 
 # --- atom-number fluctuations -------------------------------------------
@@ -401,17 +357,20 @@ def pair_conditional_spins(
 
 def fluctuating_spin_averages(
     fspec: FluctuationSpec, specs: Sequence[RotationSpec], tau: float
-) -> list[FluctuationResult]:
-    """Per-atom Bob spin averages under Gaussian atom-number fluctuations,
-    one :class:`FluctuationResult` per target in ``specs``.
+) -> tuple[np.ndarray, int]:
+    """Per-atom Bob spin averages under Gaussian atom-number fluctuations.
+
+    Returns (spins, skipped): ``spins`` has one averaged (<S^x>, <S^y>,
+    <S^z>) row per target in ``specs``, and ``skipped`` counts, once for
+    the call, the (N_A, N_B) shots whose fixed-rule outcome exceeds N_A.
 
     Both atom numbers are drawn independently from the truncated Gaussian;
     each (N_A, N_B) term contributes weight p(N_A) p(N_B) times its
     normalized conditional spin vector divided by N_B, with Alice's outcome
     chosen by ``fspec.outcome_rule`` and a common squeezing time tau.
     Zero-probability branches and empty Bob ensembles contribute nothing;
-    fixed-rule outcomes exceeding a shot's N_A are skipped and counted.
-    Each pair is evolved once per call, whatever the number of targets.
+    fixed-rule outcomes exceeding a shot's N_A are skipped.  Each pair is
+    evolved once per call, whatever the number of targets.
 
     A branch counts as zero-probability only when it vanishes next to the
     largest Alice amplitude it can reach (see ``_pair_spins``), not when
@@ -439,7 +398,4 @@ def fluctuating_spin_averages(
         for total, spec in zip(acc, specs):
             spins, _, defined, _ = _pair_spins(n_a, n_bs, amps, k, spec)
             total += w_a * (per_atom[defined] @ spins[defined])
-    return [
-        FluctuationResult((float(x), float(y), float(z)), skipped)
-        for x, y, z in acc
-    ]
+    return acc, skipped

@@ -20,9 +20,9 @@ Everything here is built by a different route than the library code:
 - single Wigner values in mpmath from the Stratonovich kernel, with
   sympy's exact Clebsch-Gordan coefficients;
 - the optimal squeezing time from the argmax of the whole 1e-3 scan grid;
-- sweep rows one tuple per record, from the per-branch outcomes of
-  ``run_protocol``, and CSV and JSON text with every cell formatted on its
-  own.
+- sweep rows one tuple per record, from the branch arrays of
+  ``branch_statistics`` read one branch at a time, and CSV and JSON text
+  with every cell formatted on its own.
 
 Tests compare the fast library implementations against these oracles.  The
 per-branch protocol loop rebuilds every branch as its own state, with the
@@ -63,11 +63,10 @@ from spinrsp.errors import (
     UndefinedOutcomeError,
 )
 from spinrsp.protocol import (
-    FluctuationResult,
     FluctuationSpec,
     average_error,
+    branch_statistics,
     postselected_error,
-    run_protocol,
 )
 from spinrsp.squeezing import (
     DiagonalPairState,
@@ -981,9 +980,10 @@ def _pair_branch(
 
 def loop_fluctuating_spin_averages(
     fspec: FluctuationSpec, spec: RotationSpec, tau: float
-) -> FluctuationResult:
+) -> tuple[np.ndarray, int]:
     """The fluctuation average for one target, pair by pair: every
-    (N_A, N_B) shot is evolved and read on its own."""
+    (N_A, N_B) shot is evolved and read on its own.  Returns (spins,
+    skipped terms)."""
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     ns, weights = fspec.support()
@@ -1002,7 +1002,7 @@ def loop_fluctuating_spin_averages(
             if spins is None:
                 continue
             acc += (w_a * w_b / n_b) * np.asarray(spins)
-    return FluctuationResult((float(acc[0]), float(acc[1]), float(acc[2])), skipped)
+    return acc, skipped
 
 
 # --- optimal time from the argmax of the whole scan grid --------------------
@@ -1066,32 +1066,32 @@ def branch_rows(resource, theta: float, phis, k_sel):
     Undefined branches hold None.
     """
     base = RotationSpec(theta, 0.0)
-    branches = [
-        o for o in run_protocol(resource, base) if k_sel is None or o.k == k_sel
-    ]
+    probs, spins, errors, defined = (
+        x.tolist() for x in branch_statistics(resource, base))
+    ks = range(len(probs)) if k_sel is None else (k_sel,)
     rows = []
     for phi in phis:
         turn = RotationSpec(theta, phi).phi - base.phi
         cos, sin = math.cos(turn), math.sin(turn)
-        for o in branches:
-            if not o.defined:
-                rows.append((theta, phi, o.k, o.probability, None, None, None, None))
+        for k in ks:
+            if not defined[k]:
+                rows.append((theta, phi, k, probs[k], None, None, None, None))
                 continue
-            sx, sy, sz = o.bob_spins
+            sx, sy, sz = spins[k]
             rows.append(
-                (theta, phi, o.k, o.probability,
-                 cos * sx - sin * sy, sin * sx + cos * sy, sz, o.error)
+                (theta, phi, k, probs[k],
+                 cos * sx - sin * sy, sin * sx + cos * sy, sz, errors[k])
             )
     return rows
 
 
 def error_point(resource, theta: float, phi: float, k_cut) -> tuple:
     """(e,) at one target, or (e, e_ps, keep_p) with a post-selection cut."""
-    outcomes = run_protocol(resource, RotationSpec(theta, phi))
-    avg = average_error(outcomes)
+    branches = branch_statistics(resource, RotationSpec(theta, phi))
+    avg = average_error(branches)
     if k_cut is None:
         return (avg,)
-    return (avg, *postselected_error(outcomes, k_cut))
+    return (avg, *postselected_error(branches, k_cut))
 
 
 def error_rows(resource, theta: float, phis, k_cut):

@@ -20,11 +20,11 @@ from spinrsp.protocol import (
     FluctuationSpec,
     average_error,
     branch_state,
+    branch_statistics,
     fluctuating_spin_averages,
     outcome_probabilities,
     pair_conditional_spins,
     postselected_error,
-    run_protocol,
 )
 from spinrsp.squeezing import (
     epr_minus,
@@ -80,10 +80,11 @@ def test_criterion_2_ideal_protocol_exactness():
         for theta in thetas:
             for phi in phis:
                 spec = RotationSpec(float(theta), float(phi))
-                for outcome in run_protocol(resource, spec):
-                    prob_devs.append(abs(outcome.probability - uniform))
-                    ideal = oracles.ideal_outcome(n, outcome.k, spec)
-                    diff = np.subtract(outcome.bob_spins, ideal.bob_spins)
+                probs, spins, _, _ = branch_statistics(resource, spec)
+                prob_devs.append(np.max(np.abs(probs - uniform)))
+                for k in range(n + 1):
+                    ideal = oracles.ideal_outcome(n, k, spec)
+                    diff = np.subtract(spins[k], ideal.bob_spins)
                     spin_devs.append(np.max(np.abs(diff)))
     worst_spin = float(np.max(spin_devs))
     worst_prob = float(np.max(prob_devs))
@@ -118,12 +119,12 @@ def test_criterion_3_brute_force_equivalence():
                 n, tau, theta, phi
             )
             spec = RotationSpec(theta, phi)
-            outcomes = run_protocol(resource, spec)
-            for outcome, ref_p, ref_state in zip(outcomes, ref_probs, ref_states):
-                prob_devs.append(abs(outcome.probability - ref_p))
-                if ref_state is None or not outcome.defined:
+            probs, _, _, defined = branch_statistics(resource, spec)
+            for k, (ref_p, ref_state) in enumerate(zip(ref_probs, ref_states)):
+                prob_devs.append(abs(probs[k] - ref_p))
+                if ref_state is None or not defined[k]:
                     continue
-                state = branch_state(resource, spec, outcome.k)
+                state = branch_state(resource, spec, k)
                 state_devs.append(np.max(np.abs(state.amplitudes - ref_state)))
     worst_amp = float(np.max(amp_devs))
     worst_prob = float(np.max(prob_devs))
@@ -158,13 +159,8 @@ def test_criterion_4_probability_symmetry_and_phase_independence():
     worst_reflection = float(np.max(reflection_devs))
     phis = np.arange(32) * (2.0 * math.pi / 32)
     stacked = np.array(
-        [
-            [
-                o.probability
-                for o in run_protocol(resource, RotationSpec(1.1, float(phi)))
-            ]
-            for phi in phis
-        ]
+        [branch_statistics(resource, RotationSpec(1.1, float(phi)))[0]
+         for phi in phis]
     )
     worst_phi = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
     ok = worst_reflection < 1e-10 and worst_phi < 1e-10
@@ -209,9 +205,9 @@ def test_criterion_6_error_trends():
     for n in range(10, 51, 10):
         tau, _ = find_optimal_time(n)
         resource = squeezing_run(n, tau)
-        outcomes = run_protocol(resource, spec)
-        avg = average_error(outcomes)
-        ps, _keep = postselected_error(outcomes, 0)
+        branches = branch_statistics(resource, spec)
+        avg = average_error(branches)
+        ps, _keep = postselected_error(branches, 0)
         averages.append(avg)
         postselected_below = postselected_below and ps < avg
         details.append(f"N={n}: {avg:.5f}/{ps:.5f}")
@@ -237,14 +233,13 @@ def test_criterion_7_wigner_normalization_and_negativity():
     expected = math.sqrt(4.0 * math.pi / (n + 1))
     norm_devs = []
     minima = {}
-    for outcome in run_protocol(resource, spec):
-        if not outcome.defined:
-            continue
-        state = branch_state(resource, spec, outcome.k)
+    defined = branch_statistics(resource, spec)[3]
+    for k in np.flatnonzero(defined).tolist():
+        state = branch_state(resource, spec, k)
         sphere = wigner_map(state)
         norm_devs.append(abs(sphere.integrate() - expected))
-        if outcome.k in (n - 1, n):
-            minima[outcome.k] = sphere.minimum()[0]
+        if k in (n - 1, n):
+            minima[k] = sphere.minimum()[0]
     worst_norm = float(np.max(norm_devs))
     ok = (
         worst_norm < 1e-6
@@ -295,12 +290,11 @@ def test_criterion_8_fluctuation_robustness():
     tau, _ = find_optimal_time(n)
     thetas = np.linspace(0.0, math.pi, 31)
     specs = [RotationSpec(float(theta), phi) for theta in thetas]
-    results = fluctuating_spin_averages(fspec, specs, tau)
+    results, _ = fluctuating_spin_averages(fspec, specs, tau)
     averages = []
     direction_devs = []
     baseline_devs = []
-    for theta, spec, result in zip(thetas, specs, results):
-        averaged = np.array(result.spins)
+    for theta, spec, averaged in zip(thetas, specs, results):
         averages.append(averaged)
         spins, _ = pair_conditional_spins(n, n, tau, n, spec)
         baseline = np.asarray(spins) / n

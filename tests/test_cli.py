@@ -139,10 +139,10 @@ class TestMemoizedRender:
         if subcommand == "fluctuation":
             fspec = FluctuationSpec(p["nbar"], p["sigma0"], p["truncation"], p["rule"])
             thetas = cli._thetas(p)
-            results = fluctuating_spin_averages(
+            spins, _ = fluctuating_spin_averages(
                 fspec, [RotationSpec(t, p["phi"]) for t in thetas], p["tau"]
             )
-            rows = [(t, p["phi"], *r.spins) for t, r in zip(thetas, results)]
+            rows = [(t, p["phi"], *row) for t, row in zip(thetas, spins.tolist())]
             return ("theta", "phi", "sx", "sy", "sz"), rows
         if subcommand == "error-sweep" and p["n_list"] is not None:
             columns = ("e",) if p["k_cut"] is None else ("e", "e_ps", "keep_p")
@@ -423,6 +423,19 @@ class TestSchemas:
         manifest = json.loads((tmp_path / "fs.csv.manifest.json").read_text())
         assert manifest["config"]["skipped_terms"] > 0
 
+    @pytest.mark.parametrize("nodes", ["3", "7"])
+    def test_fluctuation_skips_counted_once(self, tmp_path, capsys, nodes):
+        # The support of mean 6 is N = 0..25; rule 8 skips the 8 values
+        # N_A < 8 with all 26 values of N_B, whatever the number of targets.
+        out = tmp_path / "fs.csv"
+        assert run_main(
+            "fluctuation", "--nbar", "6", "--rule", "8", "--theta-nodes", nodes,
+            "--out", str(out),
+        ) == 0
+        assert "skipped 208 fluctuation terms" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "fs.csv.manifest.json").read_text())
+        assert manifest["config"]["skipped_terms"] == 208
+
     def test_squeeze_json_payload(self, tmp_path):
         out = tmp_path / "sq.json"
         assert run_main("squeeze", "--n", "4", "--tau", "0.1", "--out", str(out)) == 0
@@ -593,7 +606,7 @@ class TestOnePassPerTheta:
         return calls
 
     def test_error_sweep_runs_protocol_once_per_theta(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, "run_protocol", protocol, cli)
+        calls = self.count_calls(monkeypatch, "branch_statistics", protocol, cli)
         assert run_main(
             "error-sweep", "--n", "20", "--k-cut", "0", "--theta-nodes", "17",
             "--phi-nodes", "17", "--out", str(tmp_path / "es.csv"),
@@ -738,6 +751,16 @@ class TestConfigFile:
 
 class TestParameterTable:
     """One table per subcommand drives flags, config keys and help."""
+
+    def test_parser_built_once(self, tmp_path):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        # A run parses through the same parser and leaves it usable.
+        assert run_main("optimal-time", "--n", "4", "--out",
+                        str(tmp_path / "opt.json")) == 0
+        assert cli.build_parser() is parser
+        ns = parser.parse_args(["prob-dist", "--n", "3", "--out", "p.csv"])
+        assert (ns.subcommand, ns.n, ns.theta_nodes) == ("prob-dist", "3", None)
 
     RUNS = {
         "optimal-time": {"n": "6"},
@@ -956,7 +979,9 @@ class TestDeterminism:
 
 
 class TestGoldenFixtures:
-    """Committed sweep outputs regenerate within 1e-9 per value."""
+    """Committed sweep outputs regenerate within 1e-9 per value; the
+    wigner-map, error-sweep and fluctuation fixtures regenerate byte for
+    byte."""
 
     @pytest.mark.parametrize(
         "fixture,args",
@@ -999,11 +1024,24 @@ class TestGoldenFixtures:
                     float(old_cell), abs=1e-9
                 )
 
-    def test_wigner_map_bytes(self, tmp_path):
-        golden = pathlib.Path(__file__).parent / "fixtures" / "wigner_map_n10_k9.csv"
-        out = tmp_path / "wigner_map_n10_k9.csv"
-        assert run_main(
-            "wigner-map", "--n", "10", "--theta", "0.5", "--k", "9",
-            "--theta-nodes", "22", "--phi-nodes", "42", "--out", str(out),
-        ) == 0
+    @pytest.mark.parametrize(
+        "fixture,args",
+        [
+            ("error_vs_n_kcut0.csv",
+             ["error-sweep", "--n-list", "10,20,30", "--k-cut", "0"]),
+            ("fluctuation_nbar20.csv",
+             ["fluctuation", "--nbar", "20", "--theta-nodes", "13"]),
+            ("error_grid_n12_kcut1.csv",
+             ["error-sweep", "--n", "12", "--k-cut", "1", "--theta-nodes", "7",
+              "--phi-nodes", "3"]),
+            ("wigner_map_n10_k9.csv",
+             ["wigner-map", "--n", "10", "--theta", "0.5", "--k", "9",
+              "--theta-nodes", "22", "--phi-nodes", "42"]),
+        ],
+        ids=["error-vs-n", "fluctuation", "error-grid", "wigner-map"],
+    )
+    def test_regenerates_bytes(self, tmp_path, fixture, args):
+        golden = pathlib.Path(__file__).parent / "fixtures" / fixture
+        out = tmp_path / fixture
+        assert run_main(*args, "--out", str(out)) == 0
         assert out.read_bytes() == golden.read_bytes()

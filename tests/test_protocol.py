@@ -7,6 +7,7 @@ import pytest
 
 import spinrsp.protocol
 from oracles import (
+    LoopBranch,
     brute_force_pair_spins,
     brute_force_protocol,
     error_k,
@@ -19,7 +20,7 @@ from oracles import (
     rotated_fock_state,
     spin_expectations,
 )
-from spinrsp.collective_spin import RotationSpec, y_rotation_matrix
+from spinrsp.collective_spin import EnsembleState, RotationSpec, y_rotation_matrix
 from spinrsp.errors import (
     ContractViolationError,
     DomainError,
@@ -29,14 +30,13 @@ from spinrsp.errors import (
 )
 from spinrsp.protocol import (
     FluctuationSpec,
-    ProtocolOutcome,
     average_error,
     branch_state,
+    branch_statistics,
     fluctuating_spin_averages,
     outcome_probabilities,
     pair_conditional_spins,
     postselected_error,
-    run_protocol,
 )
 from spinrsp.squeezing import (
     DiagonalPairState,
@@ -64,47 +64,53 @@ def ideal_state(n: int, k: int, spec: RotationSpec):
 class TestRunProtocol:
     def test_requires_frame_rotation(self):
         with pytest.raises(ContractViolationError):
-            run_protocol(evolve_2a2s(4, 0.1), RotationSpec(0.3, 0.0))
+            branch_statistics(evolve_2a2s(4, 0.1), RotationSpec(0.3, 0.0))
 
     def test_probabilities_sum_to_one(self):
         for resource in (epr_minus(9), squeezed_resource(9, 0.2)):
             for theta in (0.0, 0.8, math.pi / 2, 2.9):
-                outcomes = run_protocol(resource, RotationSpec(theta, 1.1))
-                assert sum(o.probability for o in outcomes) == pytest.approx(
-                    1.0, abs=1e-10
-                )
+                probs = branch_statistics(resource, RotationSpec(theta, 1.1))[0]
+                assert sum(probs.tolist()) == pytest.approx(1.0, abs=1e-10)
 
     def test_correction_flag(self):
+        # Bob turns his state by exp(-i S^z pi/2) exactly on the outcomes
+        # k < N/2, which the ideal protocol leaves pointing at phi + pi: on
+        # every branch with k != N/2 the transverse spin then points at phi.
         for n in (5, 6):
-            outcomes = run_protocol(epr_minus(n), RotationSpec(0.9, 0.2))
-            for o in outcomes:
-                assert o.correction_applied == (o.k < n / 2)
+            theta, phi = 0.9, 0.2
+            spins = branch_statistics(epr_minus(n), RotationSpec(theta, phi))[1]
+            along = spins[:, 0] * math.cos(phi) + spins[:, 1] * math.sin(phi)
+            for k in range(n + 1):
+                if 2 * k != n:
+                    assert along[k] == pytest.approx(
+                        abs(2 * k - n) * math.sin(theta), abs=1e-9
+                    )
 
     def test_epr_uniform_probabilities(self):
         n = 11
         for theta, phi in ((0.0, 0.0), (1.2, 2.0), (math.pi, 5.0)):
-            outcomes = run_protocol(epr_minus(n), RotationSpec(theta, phi))
-            for o in outcomes:
-                assert o.probability == pytest.approx(1.0 / (n + 1), abs=1e-12)
+            probs = branch_statistics(epr_minus(n), RotationSpec(theta, phi))[0]
+            np.testing.assert_allclose(probs, 1.0 / (n + 1), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_epr_reproduces_ideal(self, n):
         for theta in (0.0, 0.77, math.pi / 2, 2.9, math.pi):
             for phi in (0.0, 2.2, 4.9):
                 spec = RotationSpec(theta, phi)
-                for o in run_protocol(epr_minus(n), spec):
-                    ideal = ideal_outcome(n, o.k, spec)
+                _, spins, errors, _ = branch_statistics(epr_minus(n), spec)
+                for k in range(n + 1):
+                    ideal = ideal_outcome(n, k, spec)
                     np.testing.assert_allclose(
-                        o.bob_spins, ideal.bob_spins, atol=1e-9
+                        spins[k], ideal.bob_spins, atol=1e-9
                     )
-                    assert o.error < 1e-9
-                    if 2 * o.k == n:
-                        assert np.linalg.norm(o.bob_spins) < 1e-9
+                    assert errors[k] < 1e-9
+                    if 2 * k == n:
+                        assert np.linalg.norm(spins[k]) < 1e-9
                     else:
                         overlap = abs(
                             np.vdot(
-                                ideal_state(n, o.k, spec).amplitudes,
-                                branch_state(epr_minus(n), spec, o.k).amplitudes,
+                                ideal_state(n, k, spec).amplitudes,
+                                branch_state(epr_minus(n), spec, k).amplitudes,
                             )
                         ) ** 2
                         assert overlap > 1.0 - 1e-9
@@ -113,16 +119,16 @@ class TestRunProtocol:
         n = 7
         resource = apply_frame_rotation(evolve_2a2s(n, 0.0))
         spec = RotationSpec(0.0, 1.3)
-        outcomes = run_protocol(resource, spec)
-        assert outcomes[n].probability == pytest.approx(1.0, abs=1e-12)
-        for o in outcomes[:n]:
-            assert o.probability == 0.0
+        probs, spins, errors, defined = branch_statistics(resource, spec)
+        assert probs[n] == pytest.approx(1.0, abs=1e-12)
+        assert defined[n]
+        for k in range(n):
+            assert probs[k] == 0.0
             with pytest.raises(UndefinedOutcomeError):
-                branch_state(resource, spec, o.k)
-            assert o.bob_spins is None
-            assert o.error is None
-            assert not o.defined
-            assert o.correction_applied == (o.k < n / 2)
+                branch_state(resource, spec, k)
+            assert np.all(np.isnan(spins[k]))
+            assert math.isnan(errors[k])
+            assert not defined[k]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 20, 57])
     def test_matches_per_branch_oracle(self, n):
@@ -133,27 +139,28 @@ class TestRunProtocol:
             for theta in (0.0, 0.4, 1.1, math.pi, 4.0, -0.7, 3.0):
                 for phi in (0.0, 2.3):
                     spec = RotationSpec(theta, phi)
-                    outcomes = run_protocol(resource, spec)
+                    branches = branch_statistics(resource, spec)
+                    probs, spins, errors, defined = branches
                     loop = per_branch_protocol(resource, spec)
-                    assert [o.defined for o in outcomes] == [b.defined for b in loop]
-                    for o, b in zip(outcomes, loop):
-                        assert o.k == b.k
-                        assert abs(o.probability - b.probability) < 1e-12
+                    assert defined.tolist() == [b.defined for b in loop]
+                    for k, b in enumerate(loop):
+                        assert b.k == k
+                        assert abs(probs[k] - b.probability) < 1e-12
                         if not b.defined:
                             continue
                         np.testing.assert_allclose(
-                            branch_state(resource, spec, o.k).amplitudes,
+                            branch_state(resource, spec, k).amplitudes,
                             b.bob_state.amplitudes,
                             rtol=0,
                             atol=1e-12,
                         )
                         np.testing.assert_allclose(
-                            o.bob_spins, b.bob_spins, rtol=0, atol=1e-12
+                            spins[k], b.bob_spins, rtol=0, atol=1e-12
                         )
-                        assert abs(o.error - b.error) < 1e-12
-                    assert abs(average_error(outcomes) - loop_average_error(loop)) < 1e-12
+                        assert abs(errors[k] - b.error) < 1e-12
+                    assert abs(average_error(branches) - loop_average_error(loop)) < 1e-12
                     for got, ref in zip(
-                        postselected_error(outcomes, 0), loop_postselected_error(loop, 0)
+                        postselected_error(branches, 0), loop_postselected_error(loop, 0)
                     ):
                         assert abs(got - ref) < 1e-12
 
@@ -170,7 +177,7 @@ class TestRunProtocol:
 
         monkeypatch.setattr(spinrsp.protocol, "y_rotation_matrix", poisoned)
         with pytest.raises(NumericalError):
-            run_protocol(squeezed_resource(4, 0.2), RotationSpec(0.7, 0.3))
+            branch_statistics(squeezed_resource(4, 0.2), RotationSpec(0.7, 0.3))
 
     def test_drifting_rotation_rejected(self, monkeypatch):
         # A uniformly scaled D keeps every normalized column a unit vector,
@@ -181,7 +188,7 @@ class TestRunProtocol:
         monkeypatch.setattr(spinrsp.protocol, "y_rotation_matrix", drifted)
         for resource in (epr_minus(12), squeezed_resource(12, 0.12)):
             with pytest.raises(NumericalError, match=r"N=12, theta=0\.7"):
-                run_protocol(resource, RotationSpec(0.7, 0.3))
+                branch_statistics(resource, RotationSpec(0.7, 0.3))
 
     @pytest.mark.parametrize("n", [1, 4, 20, 57])
     def test_shares_probabilities_with_outcome_probabilities(self, n):
@@ -191,25 +198,24 @@ class TestRunProtocol:
             for theta in (0.0, 0.4, 1.1, math.pi):
                 probs = outcome_probabilities(resource, theta)
                 for phi in (0.0, 2.3):
-                    for o in run_protocol(resource, RotationSpec(theta, phi)):
-                        if o.defined:
-                            assert o.probability == probs[o.k]
-                        else:
-                            assert probs[o.k] < 1e-14
+                    p, _, _, defined = branch_statistics(
+                        resource, RotationSpec(theta, phi))
+                    assert np.array_equal(p[defined], probs[defined])
+                    assert np.all(probs[~defined] < 1e-14)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_brute_force_joint_space(self, n):
         tau = 0.19
         resource = squeezed_resource(n, tau)
         for theta, phi in ((0.0, 0.0), (0.6, 1.9), (math.pi / 2, 4.2), (2.8, 0.7)):
-            outcomes = run_protocol(resource, RotationSpec(theta, phi))
-            probs, states = brute_force_protocol(n, tau, theta, phi)
-            for o, p_ref, s_ref in zip(outcomes, probs, states):
-                assert abs(o.probability - p_ref) < 1e-10
+            probs, _, _, defined = branch_statistics(resource, RotationSpec(theta, phi))
+            ref_probs, states = brute_force_protocol(n, tau, theta, phi)
+            for k, (p_ref, s_ref) in enumerate(zip(ref_probs, states)):
+                assert abs(probs[k] - p_ref) < 1e-10
                 if s_ref is None:
-                    assert not o.defined
+                    assert not defined[k]
                 else:
-                    state = branch_state(resource, RotationSpec(theta, phi), o.k)
+                    state = branch_state(resource, RotationSpec(theta, phi), k)
                     np.testing.assert_allclose(state.amplitudes, s_ref, atol=1e-10)
 
     def test_phi_independence_of_probabilities(self):
@@ -218,9 +224,7 @@ class TestRunProtocol:
         theta = 1.1
         reference = None
         for phi in np.arange(32) * (2.0 * math.pi / 32.0):
-            probs = np.array(
-                [o.probability for o in run_protocol(resource, RotationSpec(theta, float(phi)))]
-            )
+            probs = branch_statistics(resource, RotationSpec(theta, float(phi)))[0]
             if reference is None:
                 reference = probs
             else:
@@ -236,12 +240,9 @@ class TestRunProtocol:
         # cos(theta) flip sign).
         n = 8
         for theta, phi in ((0.7, 1.3), (2.2, 4.0), (1.05, 0.0)):
-            fwd = run_protocol(epr_minus(n), RotationSpec(theta, phi))
-            rev = run_protocol(epr_minus(n), RotationSpec(math.pi - theta, phi))
-            for k in range(n + 1):
-                np.testing.assert_allclose(
-                    fwd[k].bob_spins, rev[n - k].bob_spins, atol=1e-9
-                )
+            fwd = branch_statistics(epr_minus(n), RotationSpec(theta, phi))[1]
+            rev = branch_statistics(epr_minus(n), RotationSpec(math.pi - theta, phi))[1]
+            np.testing.assert_allclose(fwd, rev[::-1], atol=1e-9)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_closed_form_phase_cross_check(self, n):
@@ -257,17 +258,16 @@ class TestRunProtocol:
             kk = np.arange(n + 1)
             for phi in (0.0, 1.1, 3.9, 5.7):
                 spec = RotationSpec(theta, phi)
-                for o in run_protocol(resource, spec):
-                    if not o.defined:
-                        continue
+                probs, _, _, defined = branch_statistics(resource, spec)
+                for k in np.flatnonzero(defined).tolist():
                     x = (3.0 * math.pi - 2.0 * phi) / 4.0
-                    if o.k < n / 2:
+                    if k < n / 2:
                         x -= math.pi / 2.0
-                    closed = raw.psi * np.exp(1j * (2 * kk - n) * x) * d[:, o.k]
+                    closed = raw.psi * np.exp(1j * (2 * kk - n) * x) * d[:, k]
                     norm = np.linalg.norm(closed)
-                    assert norm**2 == pytest.approx(o.probability, abs=1e-12)
+                    assert norm**2 == pytest.approx(probs[k], abs=1e-12)
                     closed /= norm
-                    actual = branch_state(resource, spec, o.k).amplitudes
+                    actual = branch_state(resource, spec, k).amplitudes
                     pivot = int(np.argmax(np.abs(actual)))
                     phase = closed[pivot] / actual[pivot]
                     phase /= abs(phase)
@@ -291,13 +291,14 @@ class TestBranchState:
                     atol=1e-12,
                 )
 
-    def test_spins_match_run_protocol(self):
+    def test_spins_match_branch_statistics(self):
         n, spec = 9, RotationSpec(1.2, 0.8)
         resource = squeezed_resource(n, 0.14)
-        for o in run_protocol(resource, spec):
-            state = branch_state(resource, spec, o.k)
+        spins = branch_statistics(resource, spec)[1]
+        for k in range(n + 1):
+            state = branch_state(resource, spec, k)
             np.testing.assert_allclose(
-                spin_expectations(state), o.bob_spins, rtol=0, atol=1e-12
+                spin_expectations(state), spins[k], rtol=0, atol=1e-12
             )
 
     def test_undefined_branch_rejected(self):
@@ -369,11 +370,12 @@ class TestNoSignalling:
         expected = np.array([0.0, 0.0, np.sum(w * (2 * np.arange(n + 1) - n))])
         for theta, phi in self.TARGETS:
             total = np.zeros(3)
-            for o in run_protocol(resource, RotationSpec(theta, phi)):
-                if o.defined:
-                    undo = -1.0 if o.correction_applied else 1.0
-                    sx, sy, sz = o.bob_spins
-                    total += o.probability * np.array([undo * sx, undo * sy, sz])
+            spec = RotationSpec(theta, phi)
+            probs, spins, _, defined = branch_statistics(resource, spec)
+            for k in np.flatnonzero(defined).tolist():
+                undo = -1.0 if k < n / 2 else 1.0
+                sx, sy, sz = spins[k]
+                total += probs[k] * np.array([undo * sx, undo * sy, sz])
             per_atom = np.max(np.abs(total - expected)) / n
             assert per_atom <= n * np.finfo(float).eps, (theta, phi)
 
@@ -450,41 +452,39 @@ class TestIdealOutcome:
 class TestErrorMetrics:
     def test_zero_for_matching_outcome(self):
         n, spec = 8, RotationSpec(0.9, 1.4)
-        outcome = run_protocol(epr_minus(n), spec)[6]
-        assert outcome.error < 1e-12
-        assert error_k(outcome, ideal_outcome(n, 6, spec), n) < 1e-12
+        assert branch_statistics(epr_minus(n), spec)[2][6] < 1e-12
+        branch = per_branch_protocol(epr_minus(n), spec)[6]
+        assert error_k(branch, ideal_outcome(n, 6, spec), n) < 1e-12
 
     def test_antipodal_maximum(self):
         n = 8
         spec = RotationSpec(0.0, 0.0)
         ideal = ideal_outcome(n, n, spec)
-        flipped = ProtocolOutcome(
-            k=n,
-            probability=1.0,
-            bob_spins=(0.0, 0.0, -float(n)),
-            error=None,
-            correction_applied=False,
-        )
+        down = EnsembleState(n, np.eye(n + 1)[0])
+        flipped = LoopBranch(n, 1.0, down, spin_expectations(down), None)
+        assert flipped.bob_spins == (0.0, 0.0, -float(n))
         assert error_k(flipped, ideal, n) == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_k_rejected(self):
         n, spec = 4, RotationSpec(0.5, 0.0)
-        outcome = run_protocol(epr_minus(n), spec)[2]
+        branch = per_branch_protocol(epr_minus(n), spec)[2]
         with pytest.raises(DomainError):
-            error_k(outcome, ideal_outcome(n, 3, spec), n)
+            error_k(branch, ideal_outcome(n, 3, spec), n)
 
     def test_undefined_outcome_rejected(self):
-        undefined = ProtocolOutcome(0, 0.0, None, None, True)
+        undefined = LoopBranch(0, 0.0, None, None, None)
         with pytest.raises(UndefinedOutcomeError):
             error_k(undefined, ideal_outcome(4, 0, RotationSpec(0.1, 0.0)), 4)
 
     def test_top_outcome_small_error_near_pole(self):
         n = 20
         spec = RotationSpec(0.2, 0.0)
-        outcome = run_protocol(squeezed_resource(n, TAU_OPT_20), spec)[n]
-        assert outcome.error < 0.05
-        assert outcome.error == pytest.approx(
-            error_k(outcome, ideal_outcome(n, n, spec), n), abs=1e-12
+        resource = squeezed_resource(n, TAU_OPT_20)
+        error = branch_statistics(resource, spec)[2][n]
+        assert error < 0.05
+        branch = per_branch_protocol(resource, spec)[n]
+        assert error == pytest.approx(
+            error_k(branch, ideal_outcome(n, n, spec), n), abs=1e-12
         )
 
 
@@ -492,16 +492,16 @@ class TestAverageError:
     def test_epr_is_exact(self):
         n = 10
         for theta, phi in ((0.0, 0.0), (0.8, 1.2), (math.pi / 2, 4.0), (2.9, 0.3)):
-            outcomes = run_protocol(epr_minus(n), RotationSpec(theta, phi))
-            assert average_error(outcomes) < 1e-9
+            branches = branch_statistics(epr_minus(n), RotationSpec(theta, phi))
+            assert average_error(branches) < 1e-9
 
     def test_decreases_with_ensemble_size(self):
         spec = RotationSpec(math.pi / 2, 0.0)
         e20 = average_error(
-            run_protocol(squeezed_resource(20, find_optimal_time(20)[0]), spec)
+            branch_statistics(squeezed_resource(20, find_optimal_time(20)[0]), spec)
         )
         e50 = average_error(
-            run_protocol(squeezed_resource(50, find_optimal_time(50)[0]), spec)
+            branch_statistics(squeezed_resource(50, find_optimal_time(50)[0]), spec)
         )
         assert e50 < e20
 
@@ -511,49 +511,49 @@ class TestAverageError:
         for theta in np.linspace(0.0, math.pi, 7):
             for phi in np.linspace(0.0, 2.0 * math.pi, 5):
                 spec = RotationSpec(float(theta), float(phi))
-                e = average_error(run_protocol(resource, spec))
+                e = average_error(branch_statistics(resource, spec))
                 assert 0.0 <= e <= 1.0
 
 
 class TestPostselectedError:
     def test_keep_all_matches_average(self):
         n = 5
-        outcomes = run_protocol(squeezed_resource(n, 0.25), RotationSpec(1.0, 0.6))
-        error, keep_p = postselected_error(outcomes, 2)
+        branches = branch_statistics(squeezed_resource(n, 0.25), RotationSpec(1.0, 0.6))
+        error, keep_p = postselected_error(branches, 2)
         assert keep_p == pytest.approx(1.0, abs=1e-10)
-        assert error == pytest.approx(average_error(outcomes), abs=1e-12)
+        assert error == pytest.approx(average_error(branches), abs=1e-12)
 
     def test_improves_error_at_equator(self):
         spec = RotationSpec(math.pi / 2, 0.0)
         for n in (10, 20):
             resource = squeezed_resource(n, find_optimal_time(n)[0])
-            outcomes = run_protocol(resource, spec)
-            error, keep_p = postselected_error(outcomes, 0)
-            assert error < average_error(outcomes)
+            branches = branch_statistics(resource, spec)
+            error, keep_p = postselected_error(branches, 0)
+            assert error < average_error(branches)
             assert 0.0 < keep_p < 1.0
 
     def test_keep_probability_grows_with_cut(self):
         n = 20
         resource = squeezed_resource(n, TAU_OPT_20)
-        outcomes = run_protocol(resource, RotationSpec(math.pi / 2, 0.0))
-        keeps = [postselected_error(outcomes, c)[1] for c in range(10)]
+        branches = branch_statistics(resource, RotationSpec(math.pi / 2, 0.0))
+        keeps = [postselected_error(branches, c)[1] for c in range(10)]
         assert all(a < b for a, b in zip(keeps, keeps[1:]))
         assert all(p <= 1.0 + 1e-12 for p in keeps)
 
     def test_cut_domain_validation(self):
-        outcomes = run_protocol(epr_minus(10), RotationSpec(0.4, 0.0))
+        branches = branch_statistics(epr_minus(10), RotationSpec(0.4, 0.0))
         with pytest.raises(DomainError):
-            postselected_error(outcomes, -1)
+            postselected_error(branches, -1)
         with pytest.raises(DomainError):
-            postselected_error(outcomes, 5)
+            postselected_error(branches, 5)
 
     def test_empty_selection(self):
         resource = DiagonalPairState(
             2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
         )
-        outcomes = run_protocol(resource, RotationSpec(0.0, 0.0))
+        branches = branch_statistics(resource, RotationSpec(0.0, 0.0))
         with pytest.raises(EmptyPostSelectionError):
-            postselected_error(outcomes, 0)
+            postselected_error(branches, 0)
 
 
 class TestPairConditionalSpins:
@@ -576,14 +576,14 @@ class TestPairConditionalSpins:
                 else:
                     np.testing.assert_allclose(spins, ref_spins, atol=1e-10)
 
-    def test_equal_sizes_match_run_protocol(self):
+    def test_equal_sizes_match_branch_statistics(self):
         n, tau = 9, 0.14
         spec = RotationSpec(1.2, 0.8)
-        outcomes = run_protocol(squeezed_resource(n, tau), spec)
+        probs, bob_spins, _, _ = branch_statistics(squeezed_resource(n, tau), spec)
         for k in (0, 3, 5, 9):
             spins, p = pair_conditional_spins(n, n, tau, k, spec)
-            assert p == pytest.approx(outcomes[k].probability, abs=1e-12)
-            np.testing.assert_allclose(spins, outcomes[k].bob_spins, atol=1e-12)
+            assert p == pytest.approx(probs[k], abs=1e-12)
+            np.testing.assert_allclose(spins, bob_spins[k], atol=1e-12)
 
     def test_zero_probability_branch(self):
         spins, p = pair_conditional_spins(2, 3, 0.0, 0, RotationSpec(0.0, 0.0))
@@ -635,37 +635,35 @@ class TestFluctuatingSpinAverages:
         n, tau = 12, 0.18
         spec = RotationSpec(0.9, -math.pi / 4)
         fspec = FluctuationSpec(n, 1e-9)
-        (result,) = fluctuating_spin_averages(fspec, [spec], tau)
-        assert result.skipped_terms == 0
+        (averaged,), skipped = fluctuating_spin_averages(fspec, [spec], tau)
+        assert skipped == 0
         spins, _ = pair_conditional_spins(n, n, tau, n, spec)
-        np.testing.assert_allclose(result.spins, np.asarray(spins) / n, atol=1e-14)
-        outcome = run_protocol(squeezed_resource(n, tau), spec)[n]
-        np.testing.assert_allclose(
-            result.spins, np.asarray(outcome.bob_spins) / n, atol=1e-12
-        )
+        np.testing.assert_allclose(averaged, np.asarray(spins) / n, atol=1e-14)
+        bob_spins = branch_statistics(squeezed_resource(n, tau), spec)[1]
+        np.testing.assert_allclose(averaged, bob_spins[n] / n, atol=1e-12)
 
     def test_fixed_rule_skips_small_shots(self):
         fspec = FluctuationSpec(10, 0.5, outcome_rule=10)
         ns, _ = fspec.support()
         too_small = int(np.sum(ns < 10))
-        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(0.7, 0.0)], 0.1)
-        assert result.skipped_terms == too_small * len(ns)
-        assert all(math.isfinite(s) for s in result.spins)
+        spins, skipped = fluctuating_spin_averages(fspec, [RotationSpec(0.7, 0.0)], 0.1)
+        assert skipped == too_small * len(ns)
+        assert np.all(np.isfinite(spins))
 
     def test_all_shots_skipped(self):
         fspec = FluctuationSpec(10, 0.5, outcome_rule=50)
         ns, _ = fspec.support()
-        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(0.7, 0.0)], 0.1)
-        assert result.skipped_terms == len(ns) ** 2
-        assert result.spins == (0.0, 0.0, 0.0)
+        spins, skipped = fluctuating_spin_averages(fspec, [RotationSpec(0.7, 0.0)], 0.1)
+        assert skipped == len(ns) ** 2
+        assert spins.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_support_including_empty_ensembles(self):
         fspec = FluctuationSpec(1, 0.5)
         ns, _ = fspec.support()
         assert ns[0] == 0
-        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(1.0, 0.3)], 0.2)
-        assert result.skipped_terms == 0
-        assert all(math.isfinite(s) for s in result.spins)
+        spins, skipped = fluctuating_spin_averages(fspec, [RotationSpec(1.0, 0.3)], 0.2)
+        assert skipped == 0
+        assert np.all(np.isfinite(spins))
 
     def test_negative_tau_rejected(self):
         with pytest.raises(DomainError):
@@ -692,10 +690,10 @@ class TestFluctuatingSpinAverages:
                     )
                     assert spins is not None
                     expected += w_a * w_b * np.asarray(spins) / n_b
-            (result,) = fluctuating_spin_averages(
+            (averaged,), _ = fluctuating_spin_averages(
                 fspec, [RotationSpec(theta, phi)], tau
             )
-            np.testing.assert_allclose(result.spins, expected, atol=1e-10)
+            np.testing.assert_allclose(averaged, expected, atol=1e-10)
 
     def test_continuous_into_theta_pi(self):
         # Near theta = pi the N_B < N_A shots reach Alice's column only
@@ -711,15 +709,15 @@ class TestFluctuatingSpinAverages:
             if n_b > 0
         )
         tau = 0.17
-        (at_pole,) = fluctuating_spin_averages(
+        (at_pole,), _ = fluctuating_spin_averages(
             fspec, [RotationSpec(math.pi, 0.3)], tau
         )
-        np.testing.assert_allclose(at_pole.spins, (0.0, 0.0, z), atol=1e-12)
+        np.testing.assert_allclose(at_pole, (0.0, 0.0, z), atol=1e-12)
         for eps in (1e-3, 1e-6):
-            (near,) = fluctuating_spin_averages(
+            (near,), _ = fluctuating_spin_averages(
                 fspec, [RotationSpec(math.pi - eps, 0.3)], tau
             )
-            np.testing.assert_allclose(near.spins, at_pole.spins, atol=10 * eps)
+            np.testing.assert_allclose(near, at_pole, atol=10 * eps)
 
     @pytest.mark.parametrize("rule", ["highest", "lowest", 4])
     def test_matches_per_pair_oracle(self, rule):
@@ -730,13 +728,14 @@ class TestFluctuatingSpinAverages:
         for mean, sigma0 in ((3, 1.5), (8, 2.0)):
             fspec = FluctuationSpec(mean, sigma0, outcome_rule=rule)
             for tau in (0.05, 0.3, find_optimal_time(mean)[0]):
-                results = fluctuating_spin_averages(fspec, specs, tau)
-                assert len(results) == len(specs)
-                for spec, result in zip(specs, results):
-                    ref = loop_fluctuating_spin_averages(fspec, spec, tau)
-                    assert result.skipped_terms == ref.skipped_terms
+                spins, skipped = fluctuating_spin_averages(fspec, specs, tau)
+                assert spins.shape == (len(specs), 3)
+                for spec, averaged in zip(specs, spins):
+                    ref_spins, ref_skipped = loop_fluctuating_spin_averages(
+                        fspec, spec, tau)
+                    assert skipped == ref_skipped
                     np.testing.assert_allclose(
-                        result.spins, ref.spins, rtol=0, atol=1e-13
+                        averaged, ref_spins, rtol=0, atol=1e-13
                     )
 
     def test_evolves_each_pair_once(self, monkeypatch):
@@ -752,8 +751,8 @@ class TestFluctuatingSpinAverages:
         ns, _ = fspec.support()
         assert ns[0] > 0
         specs = [RotationSpec(theta, 0.4) for theta in (0.0, 0.6, 1.5, 2.5, math.pi)]
-        results = fluctuating_spin_averages(fspec, specs, 0.1)
-        assert len(results) == 5
+        spins, _ = fluctuating_spin_averages(fspec, specs, 0.1)
+        assert spins.shape == (5, 3)
         assert len(calls) == len(ns) ** 2
         assert len(set(calls)) == len(ns) ** 2
 
@@ -763,7 +762,7 @@ class TestFluctuatingSpinAverages:
         theta, phi = math.pi / 2, -math.pi / 4
         fspec = FluctuationSpec(12, math.sqrt(12) / 2.0)
         tau, _ = find_optimal_time(12)
-        (result,) = fluctuating_spin_averages(fspec, [RotationSpec(theta, phi)], tau)
+        (vec,), _ = fluctuating_spin_averages(fspec, [RotationSpec(theta, phi)], tau)
         target = np.array(
             [
                 math.sin(theta) * math.cos(phi),
@@ -771,7 +770,6 @@ class TestFluctuatingSpinAverages:
                 math.cos(theta),
             ]
         )
-        vec = np.asarray(result.spins)
         length = np.linalg.norm(vec)
         assert 0.2 < length <= 1.0 + 1e-9
         assert float(vec @ target) / length > 0.99

@@ -28,7 +28,7 @@ from oracles import (
 from spinrsp import wigner
 from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.errors import DomainError
-from spinrsp.protocol import branch_state, run_protocol
+from spinrsp.protocol import branch_state, branch_statistics
 from spinrsp.squeezing import find_optimal_time, squeezing_run
 from spinrsp.wigner import (
     _kernel_weights,
@@ -322,10 +322,9 @@ class TestWignerMap:
         n = 10
         resource = squeezing_run(n, 0.2)
         spec = RotationSpec(0.5, 0.0)
-        for outcome in run_protocol(resource, spec):
-            if not outcome.defined:
-                continue
-            sphere = wigner_map(branch_state(resource, spec, outcome.k))
+        defined = branch_statistics(resource, spec)[3]
+        for k in np.flatnonzero(defined).tolist():
+            sphere = wigner_map(branch_state(resource, spec, k))
             assert sphere.integrate() == pytest.approx(
                 math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
             )
@@ -532,19 +531,19 @@ class TestDipoleIdentity:
 
         2 sqrt(j(j+1)(2j+1)) / sqrt(4 pi) * integral W n dOmega = <S>,
 
-    which ties the map's signs and phi convention to run_protocol's."""
+    which ties the map's signs and phi convention to branch_statistics'."""
 
     @pytest.mark.parametrize("n", [20, 60])
     @pytest.mark.parametrize("theta,phi", [(0.7, 1.3), (2.4, 5.0)])
     def test_moment_equals_bob_spins(self, n, theta, phi):
         resource = squeezing_run(n, find_optimal_time(n)[0])
         spec = RotationSpec(theta, phi)
-        outcomes = run_protocol(resource, spec)
+        _, spins, _, defined = branch_statistics(resource, spec)
         j = n / 2.0
         scale = 2.0 * math.sqrt(j * (j + 1.0) * (2.0 * j + 1.0) / (4.0 * math.pi))
         checked = 0
         for k in (n, n - 1, n // 2 + 1, 3, 0):
-            if not outcomes[k].defined:
+            if not defined[k]:
                 continue
             sphere = wigner_map(branch_state(resource, spec, k))
             th, ph = sphere.theta[:, None], sphere.phi[None, :]
@@ -556,7 +555,7 @@ class TestDipoleIdentity:
             ]
             # Per atom, within 16 N eps (measured: at most 3 N eps).
             np.testing.assert_allclose(
-                moment, outcomes[k].bob_spins, rtol=0.0,
+                moment, spins[k], rtol=0.0,
                 atol=16 * n * n * np.finfo(float).eps,
             )
             checked += 1
