@@ -490,11 +490,14 @@ def _run_spin_sweep(p) -> tuple[str, dict]:
 
 
 @_command(
-    "wigner-map", "Wigner function of one conditional state", _N, _TAU,
-    Param("k", _parse_int, lambda v: v["n"], "Alice's outcome (default N)"),
-    _THETA, _PHI,
+    "wigner-map", "Wigner function of one conditional state", _N,
     Param("resource", _parse_choice("2a2s", "epr"), "2a2s",
           "resource state: 2a2s or epr"),
+    _TAU._replace(
+        default=lambda v: None if v["resource"] == "epr" else _optimal_tau(v["n"]),
+        help="squeezing time (default: optimal time for N; unused with epr)"),
+    Param("k", _parse_int, lambda v: v["n"], "Alice's outcome (default N)"),
+    _THETA, _PHI,
     Param("theta-nodes", _parse_int, None,
           "polar quadrature nodes (default max(121, 2N+2))"),
     Param("phi-nodes", _parse_int, None, "azimuthal nodes (default max(241, 4N+2))"),

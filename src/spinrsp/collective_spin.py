@@ -32,42 +32,47 @@ from .errors import DomainError
 __all__ = [
     "EnsembleState",
     "RotationSpec",
+    "rotation_log_column",
     "y_rotation_matrix",
 ]
 
 _NORM_TOL = 1e-12
 
 
+def _checked_amplitudes(n_atoms: int, amplitudes, name: str) -> np.ndarray:
+    """Read-only complex copy of ``amplitudes``, checked to have length
+    n_atoms + 1 and squared moduli summing to one within 1e-12."""
+    amps = np.array(amplitudes, dtype=complex)
+    if amps.shape != (n_atoms + 1,):
+        raise DomainError(
+            f"{name} must have length n_atoms+1 = {n_atoms + 1}, "
+            f"got shape {amps.shape}"
+        )
+    norm2 = float(np.sum(np.abs(amps) ** 2))
+    if not abs(norm2 - 1.0) <= _NORM_TOL:
+        raise DomainError(f"{name} not normalized: sum of squared moduli = {norm2!r}")
+    amps.setflags(write=False)
+    return amps
+
+
 @dataclass(frozen=True)
 class EnsembleState:
-    """State of one N-atom ensemble: complex amplitudes over |0>..|N>.
+    """Normalized state of one N-atom ensemble: complex amplitudes over
+    |0>..|N>.
 
-    ``amplitudes[k]`` multiplies the Fock state with k atoms in mode b.
-    When ``normalized`` is set the squared amplitudes must sum to one
-    within 1e-12; this is checked at construction.
+    ``amplitudes[k]`` multiplies the Fock state with k atoms in mode b.  The
+    squared amplitudes must sum to one within 1e-12; this is checked at
+    construction.
     """
 
     n_atoms: int
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         if self.n_atoms < 0:
             raise DomainError(f"n_atoms must be non-negative, got {self.n_atoms}")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.n_atoms + 1,):
-            raise DomainError(
-                f"amplitudes must have length n_atoms+1 = {self.n_atoms + 1}, "
-                f"got shape {amps.shape}"
-            )
-        amps.setflags(write=False)
+        amps = _checked_amplitudes(self.n_atoms, self.amplitudes, "amplitudes")
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized:
-            norm2 = float(np.sum(np.abs(amps) ** 2))
-            if not abs(norm2 - 1.0) <= _NORM_TOL:
-                raise DomainError(
-                    f"state flagged normalized but sum |a_k|^2 = {norm2!r}"
-                )
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,6 @@ class DomainError(SpinRspError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class DegenerateStateError(DomainError):
-    """A state with (numerically) zero norm was passed where a physical
-    state is required."""
-
-
-class ContractViolationError(DomainError):
-    """A documented precondition between modules was violated, e.g.
-    requesting squeezing variances of a state whose frame rotation has not
-    been applied."""
-
-
 class UndefinedOutcomeError(DomainError):
     """A zero-probability measurement outcome carries no conditional state;
     quantities derived from it are undefined and must be skipped."""

@@ -31,7 +31,6 @@ from .collective_spin import (
     y_rotation_matrix,
 )
 from .errors import (
-    ContractViolationError,
     DomainError,
     EmptyPostSelectionError,
     NumericalError,
@@ -161,11 +160,8 @@ def _alice_conjugate_phases(resource: DiagonalPairState, spec: RotationSpec):
     """The conjugate z-phases of Alice's U(theta, pi - phi) on her labels k'.
 
     Projecting Alice on <k| after U^dagger leaves Bob with
-    sum_k' psi_k' phases_k' D[k', k] |k'>, D the real y-rotation.  The
-    resource must be frame-rotated.
+    sum_k' psi_k' phases_k' D[k', k] |k'>, D the real y-rotation.
     """
-    if not resource.frame_rotated:
-        raise ContractViolationError("the protocol requires a frame-rotated resource")
     m = 2 * np.arange(resource.n_atoms + 1) - resource.n_atoms
     return np.exp(1j * m * _alice_spec(spec).phi / 2.0)
 
@@ -181,10 +177,6 @@ def branch_statistics(
     (1/2N) |<S> - <S>_ideal| from the spin-EPR outcome, in [0, 1].  A branch
     below the zero-probability cut (``defined`` false) has probability 0
     and NaN spins and error; :func:`branch_state` builds the state itself.
-
-    The resource must already be in the protocol frame (``frame_rotated``);
-    the 2A2S state needs the explicit phase rotation, the spin-EPR state is
-    constructed frame-ready.
 
     Bob's branch k is sum_k' psi_k' phases_k' D[k', k] |k'> (see
     :func:`_alice_conjugate_phases`), times exp(-i S^z pi/2) when k < N/2,
@@ -216,7 +208,7 @@ def outcome_probabilities(resource: DiagonalPairState, theta: float) -> np.ndarr
 
     The same P as :func:`branch_statistics`, without its zero-probability
     cut.  Independent of phi and of any diagonal phases on the resource (in
-    particular of whether the frame rotation was applied).
+    particular of the frame rotation).
     """
     return _branch_moments(resource, theta, 1.0)[1][0]
 

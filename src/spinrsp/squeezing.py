@@ -22,53 +22,41 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .collective_spin import _NORM_TOL
-from .errors import (
-    ContractViolationError,
-    DomainError,
-    NumericalError,
-    SearchFailureError,
-)
+from .collective_spin import _checked_amplitudes
+from .errors import DomainError, NumericalError, SearchFailureError
 
 __all__ = [
     "DiagonalPairState",
     "VarianceTriple",
-    "evolve_pair",
-    "evolve_2a2s",
-    "apply_frame_rotation",
     "epr_minus",
+    "evolve_pair",
     "fidelity",
     "find_optimal_time",
+    "frame_phases",
     "pair_variances",
+    "squeezing_run",
 ]
+
 
 @dataclass(frozen=True)
 class DiagonalPairState:
-    """Joint state of two N-atom ensembles supported on {|k>_A |k>_B}.
+    """Joint state of two N-atom ensembles supported on {|k>_A |k>_B}, in
+    the protocol frame.
 
-    ``psi[k]`` is the amplitude of |k>_A |k>_B.  ``frame_rotated`` records
-    whether the exp(i S^z pi/8)-per-ensemble phase rotation has been
-    applied; the spin-EPR state needs no frame rotation and is constructed
-    with the flag already set.
+    ``psi[k]`` is the amplitude of |k>_A |k>_B.  The protocol frame is the
+    one in which the resource approximates the spin-EPR state: the 2A2S
+    evolution is followed by the exp(i S^z pi/8) phase rotation of each
+    ensemble (:func:`squeezing_run`), and the spin-EPR state itself
+    (:func:`epr_minus`) needs none.
     """
 
     n_atoms: int
     psi: np.ndarray
-    frame_rotated: bool = False
 
     def __post_init__(self):
         if self.n_atoms < 1:
             raise DomainError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        psi = np.array(self.psi, dtype=complex)
-        if psi.shape != (self.n_atoms + 1,):
-            raise DomainError(
-                f"psi must have length n_atoms+1 = {self.n_atoms + 1}, "
-                f"got shape {psi.shape}"
-            )
-        norm2 = float(np.sum(np.abs(psi) ** 2))
-        if not abs(norm2 - 1.0) <= _NORM_TOL:
-            raise DomainError(f"pair state not normalized: sum |psi_k|^2 = {norm2!r}")
-        psi.setflags(write=False)
+        psi = _checked_amplitudes(self.n_atoms, self.psi, "psi")
         object.__setattr__(self, "psi", psi)
 
 
@@ -116,20 +104,6 @@ def evolve_pair(n_a: int, n_b: int, tau: float) -> np.ndarray:
     return evecs @ (np.exp(-1j * evals * tau) * evecs[0, :])
 
 
-def evolve_2a2s(n_atoms: int, tau: float) -> DiagonalPairState:
-    """exp(-i H tau) |N>_A |N>_B as a diagonal pair state (no frame rotation).
-
-    The resource is the N_A = N_B case of :func:`evolve_pair`, with the
-    labels k = N - d in ascending order.
-    """
-    if n_atoms < 1:
-        raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
-    if tau < 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    psi = evolve_pair(n_atoms, n_atoms, tau)[::-1]
-    return DiagonalPairState(n_atoms, psi, frame_rotated=False)
-
-
 def frame_phases(n_atoms: int) -> np.ndarray:
     """Diagonal phases exp(i (2k - N) pi/4) of the two-ensemble frame rotation.
 
@@ -140,26 +114,17 @@ def frame_phases(n_atoms: int) -> np.ndarray:
     return np.exp(1j * (2 * k - n_atoms) * math.pi / 4.0)
 
 
-def apply_frame_rotation(state: DiagonalPairState) -> DiagonalPairState:
-    """Multiply psi_k by exp(i (2k - N) pi/4) and mark the state rotated."""
-    return DiagonalPairState(
-        state.n_atoms,
-        state.psi * frame_phases(state.n_atoms),
-        frame_rotated=True,
-    )
-
-
 def epr_minus(n_atoms: int) -> DiagonalPairState:
     """The spin-EPR resource psi_k = (-1)^k / sqrt(N+1).
 
-    Flagged frame_rotated because it is consumed directly by the protocol
-    without the squeezing-specific phase alignment.
+    The protocol consumes it directly, without the squeezed resource's
+    frame rotation.
     """
     if n_atoms < 1:
         raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
     k = np.arange(n_atoms + 1)
     psi = (-1.0) ** k / math.sqrt(n_atoms + 1) + 0j
-    return DiagonalPairState(n_atoms, psi, frame_rotated=True)
+    return DiagonalPairState(n_atoms, psi)
 
 
 def fidelity(state: DiagonalPairState, target: DiagonalPairState) -> float:
@@ -170,8 +135,19 @@ def fidelity(state: DiagonalPairState, target: DiagonalPairState) -> float:
 
 
 def squeezing_run(n_atoms: int, tau: float) -> DiagonalPairState:
-    """The frame-rotated squeezed resource after time tau."""
-    return apply_frame_rotation(evolve_2a2s(n_atoms, tau))
+    """The squeezed resource after time tau, in the protocol frame.
+
+    exp(-i H tau) |N>_A |N>_B is the N_A = N_B case of :func:`evolve_pair`,
+    read with the labels k = N - d in ascending order, and then rotated by
+    :func:`frame_phases`.
+    """
+    if n_atoms < 1:
+        raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
+    if tau < 0:
+        raise DomainError(f"tau must be >= 0, got {tau}")
+    return DiagonalPairState(
+        n_atoms, evolve_pair(n_atoms, n_atoms, tau)[::-1] * frame_phases(n_atoms)
+    )
 
 
 # Step of the first-peak scan over (0, pi/2], capped at 1/N so that the peak
@@ -236,16 +212,10 @@ def find_optimal_time(n_atoms: int) -> tuple[float, float]:
 def pair_variances(state: DiagonalPairState) -> VarianceTriple:
     """Variances of S^x_A + S^x_B, S^y_A - S^y_B, S^z_A - S^z_B.
 
-    Valid in the rotated frame only, where these are the squeezed/conserved
-    combinations; calling on an un-rotated state raises
-    :class:`ContractViolationError`.  On the diagonal pair basis all three
-    expectations vanish and the second moments reduce to ladder-coefficient
-    sums over psi.
+    These are the squeezed and conserved combinations in the protocol
+    frame.  On the diagonal pair basis all three expectations vanish and
+    the second moments reduce to ladder-coefficient sums over psi.
     """
-    if not state.frame_rotated:
-        raise ContractViolationError(
-            "pair_variances requires a frame-rotated pair state"
-        )
     n = state.n_atoms
     psi = state.psi
     k = np.arange(n + 1)

@@ -200,8 +200,6 @@ def wigner_map(
     psi_k' exp(i (2k' - N) phi / 2); W is the weights Delta times the
     squared moduli of the result, real by construction.
     """
-    if not state.normalized:
-        raise DomainError("a Wigner map requires a normalized ensemble state")
     n = state.n_atoms
     theta, phi, weights = _quadrature_grid(n, n_theta, n_phi)
     m = 2 * np.arange(n + 1) - n

@@ -56,7 +56,6 @@ from spinrsp.collective_spin import (
     y_rotation_matrix,
 )
 from spinrsp.errors import (
-    DegenerateStateError,
     DomainError,
     NumericalError,
     SearchFailureError,
@@ -467,8 +466,6 @@ def angular_state_from_ensemble(state: EnsembleState) -> AngularState:
     The Fock label k maps to the magnetic quantum number m = k - N/2, so
     the amplitude vector carries over with no reordering.
     """
-    if not state.normalized:
-        raise DomainError("angular state requires a normalized ensemble state")
     rho = np.outer(state.amplitudes, np.conj(state.amplitudes))
     return AngularState(state.n_atoms / 2.0, rho)
 
@@ -705,24 +702,13 @@ def build_spin_operators(n_atoms: int) -> SpinOperatorSet:
     return SpinOperatorSet(n, sx, sy, sz, splus, sminus)
 
 
-def apply_operator(
-    state: EnsembleState, op: np.ndarray, unitary: bool = False
-) -> EnsembleState:
-    """Apply a dense operator to a state.
-
-    The result is flagged normalized only when the input was normalized and
-    the caller vouches for ``unitary``; a false claim fails the norm check
-    of the constructor.
-    """
+def apply_operator(state: EnsembleState, op: np.ndarray) -> np.ndarray:
+    """Amplitudes of a dense operator applied to a state, not renormalized."""
     op = np.asarray(op)
     dim = state.n_atoms + 1
     if op.shape != (dim, dim):
         raise DomainError(f"operator shape {op.shape} does not match dim {dim}")
-    return EnsembleState(
-        state.n_atoms,
-        op @ state.amplitudes,
-        normalized=state.normalized and unitary,
-    )
+    return op @ state.amplitudes
 
 
 def coupling_strengths(n_atoms: int) -> np.ndarray:
@@ -912,9 +898,7 @@ def spin_expectations(state) -> tuple[float, float, float]:
     weights = np.abs(amps) ** 2
     norm2 = float(np.sum(weights))
     if not norm2 >= 1e-24:
-        raise DegenerateStateError(
-            "spin expectations of a zero-norm or non-finite state"
-        )
+        raise DomainError("spin expectations of a zero-norm or non-finite state")
     k = np.arange(n)
     # <S^+> accumulated over <k+1| S^+ |k> couplings (empty sum when n = 0).
     up = np.sqrt((k + 1.0) * (n - k))

@@ -28,7 +28,7 @@ from spinrsp.protocol import (
 )
 from spinrsp.squeezing import (
     epr_minus,
-    evolve_2a2s,
+    evolve_pair,
     find_optimal_time,
     pair_variances,
     squeezing_run,
@@ -112,7 +112,7 @@ def test_criterion_3_brute_force_equivalence():
         off_diagonal = dense.copy()
         np.fill_diagonal(off_diagonal, 0.0)
         amp_devs.append(np.max(np.abs(off_diagonal)))
-        amp_devs.append(np.max(np.abs(np.diag(dense) - evolve_2a2s(n, tau).psi)))
+        amp_devs.append(np.max(np.abs(np.diag(dense) - evolve_pair(n, n, tau)[::-1])))
         resource = squeezing_run(n, tau)
         for theta, phi in angles:
             ref_probs, ref_states = oracles.brute_force_protocol(

@@ -103,9 +103,7 @@ class TestValueParsing:
 
 class TestRendering:
     def test_undefined_cells_in_csv(self):
-        resource = DiagonalPairState(
-            2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
-        )
+        resource = DiagonalPairState(2, np.array([0.0, 1.0, 0.0], dtype=complex))
         lines = cli._render(
             cli._BRANCH_HEADER, cli._branch_lines(resource, [0.0], [0.0], None), "csv"
         ).splitlines()
@@ -114,9 +112,7 @@ class TestRendering:
         assert lines[3] == "0,0,2,0,nan,nan,nan,nan"
 
     def test_undefined_cells_in_json(self):
-        resource = DiagonalPairState(
-            2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
-        )
+        resource = DiagonalPairState(2, np.array([0.0, 1.0, 0.0], dtype=complex))
         lines = cli._branch_lines(resource, [0.0], [0.0], None)
         payload = json.loads(cli._render(cli._BRANCH_HEADER, lines, "json"))
         assert payload["header"] == ["theta", "phi", "k", "p", "sx", "sy", "sz", "e"]
@@ -685,6 +681,24 @@ class TestManifest:
         assert (config["theta_nodes"], config["phi_nodes"]) == (121, 241)
         assert config["k"] == 2
 
+    def test_epr_map_resolves_no_tau(self, tmp_path, monkeypatch):
+        # The spin-EPR resource has no squeezing time, so none is searched
+        # for, even at N = 1 where the search is undefined.  A given --tau is
+        # echoed and leaves the data unchanged.
+        def no_search(n):
+            raise AssertionError(f"find_optimal_time({n}) called")
+
+        monkeypatch.setattr(cli, "find_optimal_time", no_search)
+        args = ("wigner-map", "--n", "1", "--resource", "epr", "--theta", "0.5",
+                "--theta-nodes", "4", "--phi-nodes", "6")
+        bare, timed = tmp_path / "bare.csv", tmp_path / "timed.csv"
+        assert run_main(*args, "--out", str(bare)) == 0
+        assert run_main(*args, "--tau", "0.3", "--out", str(timed)) == 0
+        assert bare.read_bytes() == timed.read_bytes()
+        for out, tau in ((bare, None), (timed, 0.3)):
+            manifest = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())
+            assert manifest["config"]["tau"] == tau
+
 
 class TestConfigFile:
     def test_file_supplies_values(self, tmp_path):
@@ -980,8 +994,8 @@ class TestDeterminism:
 
 class TestGoldenFixtures:
     """Committed sweep outputs regenerate within 1e-9 per value; the
-    wigner-map, error-sweep and fluctuation fixtures regenerate byte for
-    byte."""
+    squeeze, wigner-map, error-sweep and fluctuation fixtures regenerate
+    byte for byte."""
 
     @pytest.mark.parametrize(
         "fixture,args",
@@ -1037,8 +1051,10 @@ class TestGoldenFixtures:
             ("wigner_map_n10_k9.csv",
              ["wigner-map", "--n", "10", "--theta", "0.5", "--k", "9",
               "--theta-nodes", "22", "--phi-nodes", "42"]),
+            ("squeeze_n12_tau0.2.json",
+             ["squeeze", "--n", "12", "--tau", "0.2"]),
         ],
-        ids=["error-vs-n", "fluctuation", "error-grid", "wigner-map"],
+        ids=["error-vs-n", "fluctuation", "error-grid", "wigner-map", "squeeze"],
     )
     def test_regenerates_bytes(self, tmp_path, fixture, args):
         golden = pathlib.Path(__file__).parent / "fixtures" / fixture

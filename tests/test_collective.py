@@ -25,7 +25,7 @@ from spinrsp.collective_spin import (
     rotation_log_column,
     y_rotation_matrix,
 )
-from spinrsp.errors import DegenerateStateError, DomainError
+from spinrsp.errors import DomainError
 
 ANGLE_PAIRS = [
     (theta, phi)
@@ -48,10 +48,6 @@ class TestEnsembleState:
     def test_norm_validation(self):
         with pytest.raises(DomainError):
             EnsembleState(1, np.array([1.0, 1.0]))
-
-    def test_unnormalized_flag_allows_any_norm(self):
-        state = EnsembleState(1, np.array([2.0, 0.0]), normalized=False)
-        assert state_norm(state) == pytest.approx(2.0)
 
     def test_nan_amplitude_rejected(self):
         with pytest.raises(DomainError):
@@ -269,21 +265,19 @@ class TestRotatedFockState:
 class TestApplyOperatorAndExpectations:
     def test_identity_keeps_state(self):
         state = rotated_fock_state(3, 1, RotationSpec(0.7, 0.2))
-        same = apply_operator(state, np.eye(4), unitary=True)
-        np.testing.assert_allclose(same.amplitudes, state.amplitudes)
-        assert same.normalized
+        same = apply_operator(state, np.eye(4))
+        np.testing.assert_allclose(same, state.amplitudes)
 
     def test_sz_scales_fock_state(self):
         ops = build_spin_operators(4)
         out = apply_operator(unit_state(4, 3), ops.sz)
-        assert out.amplitudes[3] == pytest.approx(2 * 3 - 4)
-        assert not out.normalized
+        assert out[3] == pytest.approx(2 * 3 - 4)
 
     def test_z_phase_rotation(self):
         n, k = 5, 2
         phase = np.diag(np.exp(-1j * (2 * np.arange(n + 1) - n) * math.pi / 2))
-        out = apply_operator(unit_state(n, k), phase, unitary=True)
-        assert out.amplitudes[k] == pytest.approx(np.exp(-1j * (2 * k - n) * math.pi / 2))
+        out = apply_operator(unit_state(n, k), phase)
+        assert out[k] == pytest.approx(np.exp(-1j * (2 * k - n) * math.pi / 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -294,14 +288,12 @@ class TestApplyOperatorAndExpectations:
         assert spin_expectations(unit_state(6, 2)) == pytest.approx((0.0, 0.0, -2.0))
 
     def test_zero_norm_rejected(self):
-        zero = EnsembleState(2, np.zeros(3), normalized=False)
-        with pytest.raises(DegenerateStateError):
-            spin_expectations(zero)
+        with pytest.raises(DomainError):
+            spin_expectations(np.zeros(3))
 
     def test_nan_state_rejected(self):
-        nan = EnsembleState(2, np.array([np.nan, 0.0, 0.0]), normalized=False)
-        with pytest.raises(DegenerateStateError):
-            spin_expectations(nan)
+        with pytest.raises(DomainError):
+            spin_expectations(np.array([np.nan, 0.0, 0.0]))
 
     def test_expectations_match_dense_operators(self):
         n = 7

@@ -22,7 +22,6 @@ from oracles import (
 )
 from spinrsp.collective_spin import EnsembleState, RotationSpec, y_rotation_matrix
 from spinrsp.errors import (
-    ContractViolationError,
     DomainError,
     EmptyPostSelectionError,
     NumericalError,
@@ -40,9 +39,8 @@ from spinrsp.protocol import (
 )
 from spinrsp.squeezing import (
     DiagonalPairState,
-    apply_frame_rotation,
     epr_minus,
-    evolve_2a2s,
+    evolve_pair,
     find_optimal_time,
     squeezing_run,
 )
@@ -62,10 +60,6 @@ def ideal_state(n: int, k: int, spec: RotationSpec):
 
 
 class TestRunProtocol:
-    def test_requires_frame_rotation(self):
-        with pytest.raises(ContractViolationError):
-            branch_statistics(evolve_2a2s(4, 0.1), RotationSpec(0.3, 0.0))
-
     def test_probabilities_sum_to_one(self):
         for resource in (epr_minus(9), squeezed_resource(9, 0.2)):
             for theta in (0.0, 0.8, math.pi / 2, 2.9):
@@ -117,7 +111,7 @@ class TestRunProtocol:
 
     def test_product_resource_single_branch(self):
         n = 7
-        resource = apply_frame_rotation(evolve_2a2s(n, 0.0))
+        resource = squeezing_run(n, 0.0)
         spec = RotationSpec(0.0, 1.3)
         probs, spins, errors, defined = branch_statistics(resource, spec)
         assert probs[n] == pytest.approx(1.0, abs=1e-12)
@@ -251,8 +245,8 @@ class TestRunProtocol:
         # amplitudes, exp(i(2k'-N)X) with X = (3pi - 2phi)/4 minus pi/2 on
         # corrected branches, times the real y-rotation column.
         tau = 0.15
-        raw = evolve_2a2s(n, tau)
-        resource = apply_frame_rotation(raw)
+        raw = evolve_pair(n, n, tau)[::-1]
+        resource = squeezing_run(n, tau)
         for theta in (0.3, math.pi / 2, 2.5):
             d = y_rotation_matrix(n, theta)
             kk = np.arange(n + 1)
@@ -263,7 +257,7 @@ class TestRunProtocol:
                     x = (3.0 * math.pi - 2.0 * phi) / 4.0
                     if k < n / 2:
                         x -= math.pi / 2.0
-                    closed = raw.psi * np.exp(1j * (2 * kk - n) * x) * d[:, k]
+                    closed = raw * np.exp(1j * (2 * kk - n) * x) * d[:, k]
                     norm = np.linalg.norm(closed)
                     assert norm**2 == pytest.approx(probs[k], abs=1e-12)
                     closed /= norm
@@ -302,13 +296,9 @@ class TestBranchState:
             )
 
     def test_undefined_branch_rejected(self):
-        resource = apply_frame_rotation(evolve_2a2s(4, 0.0))
+        resource = squeezing_run(4, 0.0)
         with pytest.raises(UndefinedOutcomeError, match="k=0 has zero probability"):
             branch_state(resource, RotationSpec(0.0, 0.0), 0)
-
-    def test_requires_frame_rotation(self):
-        with pytest.raises(ContractViolationError):
-            branch_state(evolve_2a2s(4, 0.1), RotationSpec(0.3, 0.0), 4)
 
     @pytest.mark.parametrize("k", [-1, 5])
     def test_outcome_out_of_range(self, k):
@@ -345,8 +335,8 @@ class TestOutcomeProbabilities:
             assert np.max(np.abs(fwd - rev[::-1])) < 1e-10
 
     def test_frame_rotation_irrelevant(self):
-        plain = evolve_2a2s(7, 0.13)
-        rotated = apply_frame_rotation(plain)
+        plain = DiagonalPairState(7, evolve_pair(7, 7, 0.13)[::-1])
+        rotated = squeezing_run(7, 0.13)
         np.testing.assert_allclose(
             outcome_probabilities(plain, 0.8),
             outcome_probabilities(rotated, 0.8),
@@ -548,9 +538,7 @@ class TestPostselectedError:
             postselected_error(branches, 5)
 
     def test_empty_selection(self):
-        resource = DiagonalPairState(
-            2, np.array([0.0, 1.0, 0.0], dtype=complex), frame_rotated=True
-        )
+        resource = DiagonalPairState(2, np.array([0.0, 1.0, 0.0], dtype=complex))
         branches = branch_statistics(resource, RotationSpec(0.0, 0.0))
         with pytest.raises(EmptyPostSelectionError):
             postselected_error(branches, 0)

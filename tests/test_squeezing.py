@@ -14,16 +14,15 @@ from oracles import (
     frame_phase_vector,
     joint_evolution,
 )
-from spinrsp.errors import ContractViolationError, DomainError
+from spinrsp.errors import DomainError
 from spinrsp.squeezing import (
     DiagonalPairState,
     _eigensystem,
-    apply_frame_rotation,
     epr_minus,
-    evolve_2a2s,
     evolve_pair,
     fidelity,
     find_optimal_time,
+    frame_phases,
     pair_variances,
     squeezing_run,
 )
@@ -73,35 +72,33 @@ class TestHamiltonian:
 
 class TestEvolution:
     def test_identity_at_tau_zero(self):
-        state = evolve_2a2s(4, 0.0)
-        np.testing.assert_allclose(
-            state.psi, [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-14
-        )
+        psi = evolve_pair(4, 4, 0.0)[::-1]
+        np.testing.assert_allclose(psi, [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("tau", [0.1, 0.7, 1.3])
     def test_two_level_closed_form(self, tau):
-        state = evolve_2a2s(1, tau)
+        psi = evolve_pair(1, 1, tau)[::-1]
         np.testing.assert_allclose(
-            state.psi, [-1j * math.sin(tau), math.cos(tau)], atol=1e-12
+            psi, [-1j * math.sin(tau), math.cos(tau)], atol=1e-12
         )
 
     @pytest.mark.parametrize("n", [1, 3, 10, 40])
     def test_norm_conserved_on_grid(self, n):
         for tau in np.linspace(0.0, 1.0, 21):
-            state = evolve_2a2s(n, float(tau))
-            assert abs(np.vdot(state.psi, state.psi).real - 1.0) < 1e-12
+            psi = evolve_pair(n, n, float(tau))[::-1]
+            assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_energy_conserved(self, n):
         h = build_2a2s_tridiagonal(n)
         for tau in (0.0, 0.05, 0.3, 0.9):
-            psi = evolve_2a2s(n, tau).psi
+            psi = evolve_pair(n, n, tau)[::-1]
             energy = np.vdot(psi, h @ psi).real
             assert abs(energy) < 1e-9
 
     def test_negative_tau_rejected(self):
         with pytest.raises(DomainError):
-            evolve_2a2s(3, -0.1)
+            squeezing_run(3, -0.1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_full_joint_space_oracle(self, n):
@@ -113,7 +110,7 @@ class TestEvolution:
         diag = np.ascontiguousarray(np.diagonal(joint))
         off_mass = np.sum(np.abs(joint) ** 2) - np.sum(np.abs(diag) ** 2)
         assert off_mass < 1e-10
-        np.testing.assert_allclose(diag, evolve_2a2s(n, tau).psi, atol=1e-10)
+        np.testing.assert_allclose(diag, evolve_pair(n, n, tau)[::-1], atol=1e-10)
 
     @pytest.mark.parametrize("n_a,n_b", [(3, 7), (6, 2), (4, 4), (0, 3)])
     def test_pair_propagator_matches_joint_space(self, n_a, n_b):
@@ -142,38 +139,30 @@ class TestDiagonalPairState:
 
 class TestFramePhases:
     def test_center_entry_unchanged(self):
-        state = evolve_2a2s(4, 0.3)
-        rotated = apply_frame_rotation(state)
-        assert rotated.psi[2] == pytest.approx(state.psi[2])
+        raw = evolve_pair(4, 4, 0.3)[::-1]
+        assert squeezing_run(4, 0.3).psi[2] == pytest.approx(raw[2])
 
     def test_top_entry_global_phase(self):
         n = 5
-        rotated = apply_frame_rotation(evolve_2a2s(n, 0.0))
+        rotated = squeezing_run(n, 0.0)
         assert rotated.psi[n] == pytest.approx(np.exp(1j * n * math.pi / 4))
         assert abs(np.vdot(rotated.psi, rotated.psi).real - 1.0) < 1e-12
 
     def test_eight_applications_identity(self):
-        state = evolve_2a2s(3, 0.4)
-        cycled = state
+        raw = evolve_pair(3, 3, 0.4)[::-1]
+        cycled = raw
         for _ in range(8):
-            cycled = apply_frame_rotation(
-                DiagonalPairState(cycled.n_atoms, cycled.psi, frame_rotated=False)
-            )
-        np.testing.assert_allclose(cycled.psi, state.psi, atol=1e-12)
+            cycled = cycled * frame_phases(3)
+        np.testing.assert_allclose(cycled, raw, atol=1e-12)
 
     def test_matches_oracle_phase_vector(self):
         # Each diagonal pair entry |k,k> picks up the single-ensemble phase
         # once per ensemble, i.e. the square of the oracle vector.
         n = 6
-        state = evolve_2a2s(n, 0.17)
-        rotated = apply_frame_rotation(state)
+        raw = evolve_pair(n, n, 0.17)[::-1]
         np.testing.assert_allclose(
-            rotated.psi, frame_phase_vector(n) ** 2 * state.psi, atol=1e-14
+            squeezing_run(n, 0.17).psi, frame_phase_vector(n) ** 2 * raw, atol=1e-14
         )
-
-    def test_sets_flag(self):
-        assert apply_frame_rotation(evolve_2a2s(2, 0.1)).frame_rotated
-        assert not evolve_2a2s(2, 0.1).frame_rotated
 
 
 class TestEprState:
@@ -326,11 +315,6 @@ class TestVariances:
         v = pair_variances(squeezing_run(n, tau))
         ratio = v.var_xp / (2.0 * n * math.exp(-2.0 * n * tau))
         assert 0.85 <= ratio <= 1.15
-
-    def test_requires_frame_rotation(self):
-        state = evolve_2a2s(6, 0.1)
-        with pytest.raises(ContractViolationError):
-            pair_variances(state)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_variances_match_dense_joint_operators(self, n):

@@ -193,11 +193,6 @@ class TestAngularState:
         assert state.j == pytest.approx(n / 2.0)
         assert state.rho[n, n] == pytest.approx(1.0)
 
-    def test_requires_normalized_ensemble(self):
-        raw = EnsembleState(2, np.array([2.0, 0.0, 0.0]), normalized=False)
-        with pytest.raises(DomainError):
-            angular_state_from_ensemble(raw)
-
     def test_trace_validation(self):
         with pytest.raises(DomainError):
             AngularState(0.5, np.diag([0.7, 0.7]))
@@ -429,11 +424,6 @@ class TestWignerMap:
         assert block.shape == (3, 5)
         single = wigner_values(state, thetas[1:2], phis[2:3])
         assert single[0, 0] == pytest.approx(block[1, 2], abs=1e-12)
-
-    def test_requires_normalized_state(self):
-        raw = EnsembleState(2, np.array([2.0, 0.0, 0.0]), normalized=False)
-        with pytest.raises(DomainError):
-            wigner_map(raw)
 
     @pytest.mark.parametrize(
         "n,atol", [(1, 1e-14), (7, 1e-14), (20, 2e-13), (40, 3e-11)]
