@@ -76,14 +76,6 @@ class ExperimentConfig:
     subcommand: str
     params: Mapping[str, object]
 
-    @property
-    def output_path(self) -> str:
-        return self.params["out"]
-
-    @property
-    def fmt(self) -> str:
-        return self.params["format"]
-
 
 # --- value parsing --------------------------------------------------------
 
@@ -638,14 +630,15 @@ def execute(config: ExperimentConfig) -> dict:
     """Run one resolved subcommand; write its output and its manifest."""
     started = time.perf_counter()
     text, extras = _COMMANDS[config.subcommand].run(config.params)
-    checksums = write_output(text, config.output_path)
+    out = config.params["out"]
+    checksums = write_output(text, out)
     manifest = {
         "config": {"subcommand": config.subcommand, **config.params, **extras},
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "checksums": checksums,
     }
-    write_output(_json_text(manifest), config.output_path + ".manifest.json")
+    write_output(_json_text(manifest), out + ".manifest.json")
     return manifest
 
 

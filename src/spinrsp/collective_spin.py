@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "EnsembleState",
@@ -126,6 +126,19 @@ def _y_rotation_exponents(n: int, kp, k):
     return k0, a, b, 0.5 * (log_c1 - log_c2), sign
 
 
+def _tridiagonal_eigh(diag, off, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, eigenvectors as columns) of the real symmetric
+    tridiagonal matrix with ``diag`` and ``off``; both arrays are writable.
+
+    The package's one eigensolver: a LAPACK failure raises
+    :class:`NumericalError` naming ``what`` was being solved.
+    """
+    try:
+        return eigh_tridiagonal(diag, off)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"tridiagonal eigensolver failed for {what}") from exc
+
+
 @lru_cache(maxsize=16)
 def _sx_eigenvectors(n_atoms: int) -> np.ndarray:
     """Eigenvectors of the real tridiagonal S^x, ordered by eigenvalue.
@@ -133,7 +146,8 @@ def _sx_eigenvectors(n_atoms: int) -> np.ndarray:
     The eigenvalues are those of S^z, -N, -N + 2, ..., N, in ascending order.
     """
     k = np.arange(n_atoms)
-    _, vecs = eigh_tridiagonal(np.zeros(n_atoms + 1), np.sqrt((k + 1.0) * (n_atoms - k)))
+    off = np.sqrt((k + 1.0) * (n_atoms - k))
+    _, vecs = _tridiagonal_eigh(np.zeros(n_atoms + 1), off, f"S^x at N={n_atoms}")
     vecs.setflags(write=False)
     return vecs
 

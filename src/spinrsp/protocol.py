@@ -45,7 +45,6 @@ __all__ = [
     "branch_state",
     "average_error",
     "postselected_error",
-    "pair_conditional_spins",
     "fluctuating_spin_averages",
 ]
 
@@ -320,31 +319,6 @@ def _pair_spins(n_a: int, n_bs: np.ndarray, amps: np.ndarray, k: int,
     ))
     defined = p >= _ZERO_PROBABILITY
     return moments / np.where(defined, p, 1.0)[:, None], p, defined, log_scale
-
-
-def pair_conditional_spins(
-    n_a: int, n_b: int, tau: float, k: int, spec: RotationSpec
-) -> tuple[tuple[float, float, float] | None, float]:
-    """Bob's normalized spin averages for ensembles of N_A and N_B atoms.
-
-    The pair evolves for time tau, both frames are rotated, Alice measures
-    outcome k behind U(theta, pi - phi), and Bob applies the correction for
-    k < N_A / 2.  Returns (spins, probability); spins is None when the
-    outcome has zero probability.  A branch that is merely tiny, such as an
-    N_B < N_A shot near theta = pi, keeps its spins even where its
-    probability underflows to 0.0.
-    """
-    if n_a < 0 or n_b < 0:
-        raise DomainError("atom numbers must be non-negative")
-    if not 0 <= k <= n_a:
-        raise DomainError(f"k must lie in [0, {n_a}], got {k}")
-    n_bs = np.array([n_b])
-    spins, p, defined, log_scale = _pair_spins(
-        n_a, n_bs, _evolved_rows(n_a, n_bs, tau), k, spec
-    )
-    if not defined[0]:
-        return None, 0.0
-    return tuple(spins[0].tolist()), float(p[0]) * math.exp(2.0 * log_scale[0])
 
 
 def fluctuating_spin_averages(

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .collective_spin import _checked_amplitudes
-from .errors import DomainError, NumericalError, SearchFailureError
+from .collective_spin import _checked_amplitudes, _tridiagonal_eigh
+from .errors import DomainError, SearchFailureError
 
 __all__ = [
     "DiagonalPairState",
@@ -82,12 +81,9 @@ def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     dmin = min(n_a, n_b)
     d = np.arange(dmin)
     off = (d + 1.0) * np.sqrt((n_a - d) * (n_b - d))
-    try:
-        evals, evecs = eigh_tridiagonal(np.zeros(dmin + 1), off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalError(
-            f"tridiagonal eigensolver failed for sizes ({n_a}, {n_b})"
-        ) from exc
+    evals, evecs = _tridiagonal_eigh(
+        np.zeros(dmin + 1), off, f"the 2A2S Hamiltonian at sizes ({n_a}, {n_b})"
+    )
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs
@@ -165,8 +161,8 @@ def find_optimal_time(n_atoms: int) -> tuple[float, float]:
     point below its predecessor, and golden-section search refines the
     bracket around the point before it.  Returns (tau_opt, fidelity).
     """
-    if n_atoms < 2:
-        raise DomainError(f"find_optimal_time requires n_atoms >= 2, got {n_atoms}")
+    if n_atoms < 1:
+        raise DomainError(f"find_optimal_time requires n_atoms >= 1, got {n_atoms}")
     evals, evecs = _eigensystem(n_atoms, n_atoms)
     target = epr_minus(n_atoms).psi * frame_phases(n_atoms).conj()
     # <EPR_-| F exp(-i H t) |N,N> expressed in the eigenbasis: the frame
@@ -228,8 +224,6 @@ def pair_variances(state: DiagonalPairState) -> VarianceTriple:
     # <S^x_A S^x_B> = 2 Re sum_k f_k^2 conj(psi_{k+1}) psi_k; the same sum
     # enters <S^y_A S^y_B> with the opposite sign.
     cross = complex(np.sum(f[:-1] ** 2 * np.conj(psi[1:]) * psi[:-1]))
-    var_xp = 2.0 * second + 4.0 * cross.real
-    var_ym = 2.0 * second + 4.0 * cross.real
+    var = 2.0 * second + 4.0 * cross.real
     # S^z_A - S^z_B annihilates every |k,k>: both moments vanish identically.
-    var_zm = 0.0
-    return VarianceTriple(var_xp, var_ym, var_zm)
+    return VarianceTriple(var, var, 0.0)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .collective_spin import EnsembleState, y_rotation_matrix
+from .collective_spin import EnsembleState, _tridiagonal_eigh, y_rotation_matrix
 from .errors import DomainError
 
 __all__ = ["SphereMap", "wigner_map"]
@@ -84,7 +83,6 @@ def _wigner_3j_doubled(
     return sign * total
 
 
-@lru_cache(maxsize=16)
 def _m0_clebsch_gordan(n_atoms: int) -> np.ndarray:
     """T0[L, k] = <j m; j -m | L 0> with j = N/2, m = k - N/2, L, k = 0..N.
 
@@ -101,7 +99,7 @@ def _m0_clebsch_gordan(n_atoms: int) -> np.ndarray:
     k = np.arange(n + 1)
     diag = 0.5 * n * (n + 2.0) - 0.5 * (2.0 * k - n) ** 2
     off = (k[:-1] + 1.0) * (n - k[:-1])
-    _, vecs = eigh_tridiagonal(diag, off)
+    _, vecs = _tridiagonal_eigh(diag, off, f"J^2 on M = 0 at N={n}")
     table = vecs.T
     lam = k * (k + 1.0)
     walk = np.zeros((n + 1, n + 1))
@@ -136,32 +134,18 @@ def _kernel_weights(n_atoms: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereMap:
-    """Wigner function sampled on a quadrature grid over the sphere.
-
-    ``values[i, j]`` is W(theta[i], phi[j]); ``weights`` are the matching
-    quadrature weights (Gauss-Legendre in cos(theta) times uniform in phi),
-    summing to the full solid angle 4 pi.
-    """
+    """Wigner function on the quadrature grid of :func:`wigner_map`:
+    ``values[i, j]`` is W(theta[i], phi[j])."""
 
     theta: np.ndarray
     phi: np.ndarray
     values: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self) -> float:
-        """Integral of W over the sphere."""
-        return float(np.sum(self.values * self.weights))
-
-    def minimum(self) -> tuple[float, float, float]:
-        """(value, theta, phi) at the most negative grid sample."""
-        i, j = np.unravel_index(np.argmin(self.values), self.values.shape)
-        return float(self.values[i, j]), float(self.theta[i]), float(self.phi[j])
 
 
 def _quadrature_grid(
     n_atoms: int, n_theta: int | None, n_phi: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, phi, weights) of the map's grid, node counts checked."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of the map's grid, node counts checked."""
     min_theta = 2 * n_atoms + 2
     min_phi = 4 * n_atoms + 2
     if n_theta is None:
@@ -177,11 +161,9 @@ def _quadrature_grid(
         raise DomainError(
             f"n_phi={n_phi} is below the exactness bound {min_phi} for j={n_atoms / 2}"
         )
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)[::-1]
+    theta = np.arccos(np.polynomial.legendre.leggauss(n_theta)[0])[::-1]
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    weights = np.outer(wx[::-1], np.full(n_phi, 2.0 * math.pi / n_phi))
-    return theta, phi, weights
+    return theta, phi
 
 
 def wigner_map(
@@ -201,7 +183,7 @@ def wigner_map(
     squared moduli of the result, real by construction.
     """
     n = state.n_atoms
-    theta, phi, weights = _quadrature_grid(n, n_theta, n_phi)
+    theta, phi = _quadrature_grid(n, n_theta, n_phi)
     m = 2 * np.arange(n + 1) - n
     turned = state.amplitudes[:, None] * np.exp(0.5j * np.outer(m, phi))
     columns = np.concatenate([turned.real, turned.imag], axis=1)
@@ -210,4 +192,4 @@ def wigner_map(
     for i, t in enumerate(theta.tolist()):
         rotated = y_rotation_matrix(n, t).T @ columns
         values[i] = delta @ (rotated[:, : len(phi)] ** 2 + rotated[:, len(phi) :] ** 2)
-    return SphereMap(theta, phi, values, weights)
+    return SphereMap(theta, phi, values)

@@ -1,0 +1,31 @@
+"""Fixtures shared by more than one test module."""
+
+import numpy as np
+import pytest
+
+from spinrsp import collective_spin, squeezing, wigner
+
+# The caches that hold results of the package's tridiagonal eigensolves.
+_SOLVE_CACHES = (
+    collective_spin._sx_eigenvectors,
+    squeezing._eigensystem,
+    wigner._kernel_weights,
+)
+
+
+@pytest.fixture
+def failing_eigensolver(monkeypatch):
+    """Make every tridiagonal eigensolve fail as LAPACK does on
+    non-convergence, with the solve caches emptied so nothing is served
+    from an earlier test."""
+
+    def fail(diag, off):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    for cache in _SOLVE_CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(collective_spin, "eigh_tridiagonal", fail)
+    yield
+    monkeypatch.undo()
+    for cache in _SOLVE_CACHES:
+        cache.cache_clear()

@@ -632,8 +632,26 @@ def multipole_wigner_map(
 ) -> SphereMap:
     """The Wigner map of a spin-j density matrix from its multipoles, on the
     grid of :func:`spinrsp.wigner.wigner_map` (the map's former route)."""
-    theta, phi, weights = _quadrature_grid(round(2 * state.j), n_theta, n_phi)
-    return SphereMap(theta, phi, wigner_values(state, theta, phi), weights)
+    theta, phi = _quadrature_grid(round(2 * state.j), n_theta, n_phi)
+    return SphereMap(theta, phi, wigner_values(state, theta, phi))
+
+
+def sphere_weights(sphere: SphereMap) -> np.ndarray:
+    """Quadrature weights of a map's grid, Gauss-Legendre in cos(theta)
+    times uniform in phi; they sum to the full solid angle 4 pi."""
+    wx = np.polynomial.legendre.leggauss(len(sphere.theta))[1][::-1]
+    return np.outer(wx, np.full(len(sphere.phi), 2.0 * math.pi / len(sphere.phi)))
+
+
+def sphere_integral(sphere: SphereMap) -> float:
+    """Integral of W over the sphere, exact for a map of degree <= N."""
+    return float(np.sum(sphere.values * sphere_weights(sphere)))
+
+
+def sphere_minimum(sphere: SphereMap) -> tuple[float, float, float]:
+    """(value, theta, phi) at the most negative grid sample."""
+    i, j = np.unravel_index(np.argmin(sphere.values), sphere.values.shape)
+    return float(sphere.values[i, j]), float(sphere.theta[i]), float(sphere.phi[j])
 
 
 def mpmath_wigner_value(amplitudes, theta: float, phi: float) -> float:
@@ -1001,8 +1019,8 @@ def argmax_optimal_time(
     can lock onto a revival instead of the narrow first peak.  Where the two
     coincide, the library's first-peak search must return the same floats.
     """
-    if n_atoms < 2:
-        raise DomainError(f"find_optimal_time requires n_atoms >= 2, got {n_atoms}")
+    if n_atoms < 1:
+        raise DomainError(f"find_optimal_time requires n_atoms >= 1, got {n_atoms}")
     evals, evecs = _eigensystem(n_atoms, n_atoms)
     target = epr_minus(n_atoms).psi * frame_phases(n_atoms).conj()
     # <EPR_-| F exp(-i H t) |N,N> expressed in the eigenbasis: the frame

@@ -23,7 +23,6 @@ from spinrsp.protocol import (
     branch_statistics,
     fluctuating_spin_averages,
     outcome_probabilities,
-    pair_conditional_spins,
     postselected_error,
 )
 from spinrsp.squeezing import (
@@ -237,9 +236,9 @@ def test_criterion_7_wigner_normalization_and_negativity():
     for k in np.flatnonzero(defined).tolist():
         state = branch_state(resource, spec, k)
         sphere = wigner_map(state)
-        norm_devs.append(abs(sphere.integrate() - expected))
+        norm_devs.append(abs(oracles.sphere_integral(sphere) - expected))
         if k in (n - 1, n):
-            minima[k] = sphere.minimum()[0]
+            minima[k] = oracles.sphere_minimum(sphere)[0]
     worst_norm = float(np.max(norm_devs))
     ok = (
         worst_norm < 1e-6
@@ -291,13 +290,13 @@ def test_criterion_8_fluctuation_robustness():
     thetas = np.linspace(0.0, math.pi, 31)
     specs = [RotationSpec(float(theta), phi) for theta in thetas]
     results, _ = fluctuating_spin_averages(fspec, specs, tau)
+    resource = squeezing_run(n, tau)
     averages = []
     direction_devs = []
     baseline_devs = []
     for theta, spec, averaged in zip(thetas, specs, results):
         averages.append(averaged)
-        spins, _ = pair_conditional_spins(n, n, tau, n, spec)
-        baseline = np.asarray(spins) / n
+        baseline = branch_statistics(resource, spec)[1][n] / n
         direction = averaged / np.linalg.norm(averaged)
         reference = baseline / np.linalg.norm(baseline)
         direction_devs.append(np.max(np.abs(direction - reference)))

@@ -288,12 +288,36 @@ class TestDefaultTauAtLargeN:
         assert abs(e_1000 - e_800) < 1e-3
 
 
+class TestDefaultTauAtOneAtom:
+    """At N = 1 the fidelity (1 + sin 2 tau)/2 peaks at tau = pi/4, so every
+    subcommand that defaults tau runs there too."""
+
+    @pytest.mark.parametrize("args", [
+        ("optimal-time", "--n", "1"),
+        ("squeeze", "--n", "1"),
+        ("protocol", "--n", "1", "--theta", "0.4"),
+        ("prob-dist", "--n", "1"),
+        ("spin-sweep", "--n", "1"),
+        ("wigner-map", "--n", "1", "--theta", "0.4"),
+        ("error-sweep", "--n-list", "1,2,3"),
+    ], ids=lambda args: args[0])
+    def test_runs_without_tau(self, tmp_path, args):
+        out = tmp_path / ("x.json" if args[0] in ("optimal-time", "squeeze")
+                          else "x.csv")
+        assert run_main(*args, "--out", str(out)) == 0
+        config = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())["config"]
+        tau = config.get("tau_opt", config.get("tau"))
+        if "tau_by_n" in config:
+            tau = config["tau_by_n"]["1"]
+        assert tau == pytest.approx(math.pi / 4, abs=1e-7)
+
+
 class TestParseExamples:
     def test_optimal_time_flags(self, tmp_path):
         out = tmp_path / "opt.json"
         config = cli.parse_config(["optimal-time", "--n", "20", "--out", str(out)])
         assert config.subcommand == "optimal-time"
-        assert config.fmt == "json"
+        assert config.params["format"] == "json"
 
     def test_prob_dist_pi_theta(self, tmp_path):
         out = tmp_path / "pd.csv"
@@ -938,12 +962,17 @@ class TestExitCodes:
         assert not out.exists()
         assert "zero probability" in capsys.readouterr().err
 
-    def test_numerical_error_from_library(self, tmp_path):
-        out = tmp_path / "opt.json"
-        code = run_main("optimal-time", "--n", "1", "--out", str(out))
+    def test_numerical_error_from_library(self, tmp_path, capsys,
+                                          failing_eigensolver):
+        out = tmp_path / "ss.csv"
+        code = run_main(
+            "spin-sweep", "--n", "6", "--tau", "0.1", "--theta", "0.4",
+            "--out", str(out),
+        )
         assert code == 4
         assert not out.exists()
-        assert not (tmp_path / "opt.json.manifest.json").exists()
+        assert not (tmp_path / "ss.csv.manifest.json").exists()
+        assert "eigensolver failed" in capsys.readouterr().err
 
     def test_unwritable_output(self, tmp_path):
         code = run_main(

@@ -25,7 +25,9 @@ from spinrsp.collective_spin import (
     rotation_log_column,
     y_rotation_matrix,
 )
-from spinrsp.errors import DomainError
+from spinrsp.errors import DomainError, NumericalError
+from spinrsp.squeezing import _eigensystem
+from spinrsp.wigner import _kernel_weights
 
 ANGLE_PAIRS = [
     (theta, phi)
@@ -304,3 +306,20 @@ class TestApplyOperatorAndExpectations:
             float((psi.conj() @ op @ psi).real) for op in (ops.sx, ops.sy, ops.sz)
         )
         np.testing.assert_allclose(spin_expectations(state), dense, atol=1e-12)
+
+
+class TestEigensolverFailure:
+    """The three tridiagonal eigenproblems (S^x, the 2A2S Hamiltonian and
+    J^2 on M = 0) share one solver, which reports a LAPACK failure as a
+    NumericalError naming the matrix and its size."""
+
+    @pytest.mark.parametrize("solve,names", [
+        (lambda: y_rotation_matrix(7, 0.4), "S^x at N=7"),
+        (lambda: _eigensystem(7, 5), "2A2S Hamiltonian at sizes (7, 5)"),
+        (lambda: _kernel_weights(7), "J^2 on M = 0 at N=7"),
+    ], ids=["sx", "2a2s", "j2"])
+    def test_failure_is_numerical_error(self, failing_eigensolver, solve, names):
+        with pytest.raises(NumericalError, match="eigensolver failed") as info:
+            solve()
+        assert names in str(info.value)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -34,7 +34,6 @@ from spinrsp.protocol import (
     branch_statistics,
     fluctuating_spin_averages,
     outcome_probabilities,
-    pair_conditional_spins,
     postselected_error,
 )
 from spinrsp.squeezing import (
@@ -544,6 +543,19 @@ class TestPostselectedError:
             postselected_error(branches, 0)
 
 
+def pair_shot(n_a: int, n_b: int, tau: float, k: int, spec: RotationSpec):
+    """(Bob's spins or None, probability) for Alice's outcome k on one
+    (N_A, N_B) shot, from the kernel of :func:`fluctuating_spin_averages`;
+    the shape of the dense oracle ``brute_force_pair_spins``."""
+    n_bs = np.array([n_b])
+    amps = spinrsp.protocol._evolved_rows(n_a, n_bs, tau)
+    spins, p, defined, log_scale = spinrsp.protocol._pair_spins(
+        n_a, n_bs, amps, k, spec)
+    if not defined[0]:
+        return None, 0.0
+    return spins[0], float(p[0]) * math.exp(2.0 * log_scale[0])
+
+
 class TestPairConditionalSpins:
     @pytest.mark.parametrize(
         "n_a,n_b", [(2, 4), (4, 2), (3, 5), (5, 3), (4, 4), (1, 6)]
@@ -552,9 +564,7 @@ class TestPairConditionalSpins:
         tau = 0.17
         for theta, phi in ((0.5, 1.0), (math.pi / 2, -math.pi / 4), (2.4, 3.3)):
             for k in range(n_a + 1):
-                spins, p = pair_conditional_spins(
-                    n_a, n_b, tau, k, RotationSpec(theta, phi)
-                )
+                spins, p = pair_shot(n_a, n_b, tau, k, RotationSpec(theta, phi))
                 ref_spins, ref_p = brute_force_pair_spins(
                     n_a, n_b, tau, k, theta, phi
                 )
@@ -569,22 +579,14 @@ class TestPairConditionalSpins:
         spec = RotationSpec(1.2, 0.8)
         probs, bob_spins, _, _ = branch_statistics(squeezed_resource(n, tau), spec)
         for k in (0, 3, 5, 9):
-            spins, p = pair_conditional_spins(n, n, tau, k, spec)
+            spins, p = pair_shot(n, n, tau, k, spec)
             assert p == pytest.approx(probs[k], abs=1e-12)
             np.testing.assert_allclose(spins, bob_spins[k], atol=1e-12)
 
     def test_zero_probability_branch(self):
-        spins, p = pair_conditional_spins(2, 3, 0.0, 0, RotationSpec(0.0, 0.0))
+        spins, p = pair_shot(2, 3, 0.0, 0, RotationSpec(0.0, 0.0))
         assert spins is None
         assert p == 0.0
-
-    def test_invalid_outcome_rejected(self):
-        with pytest.raises(DomainError):
-            pair_conditional_spins(3, 3, 0.1, 4, RotationSpec(0.1, 0.0))
-
-    def test_negative_sizes_rejected(self):
-        with pytest.raises(DomainError):
-            pair_conditional_spins(-1, 3, 0.1, 0, RotationSpec(0.1, 0.0))
 
 
 class TestFluctuationSpec:
@@ -625,8 +627,8 @@ class TestFluctuatingSpinAverages:
         fspec = FluctuationSpec(n, 1e-9)
         (averaged,), skipped = fluctuating_spin_averages(fspec, [spec], tau)
         assert skipped == 0
-        spins, _ = pair_conditional_spins(n, n, tau, n, spec)
-        np.testing.assert_allclose(averaged, np.asarray(spins) / n, atol=1e-14)
+        spins, _ = pair_shot(n, n, tau, n, spec)
+        np.testing.assert_allclose(averaged, spins / n, atol=1e-14)
         bob_spins = branch_statistics(squeezed_resource(n, tau), spec)[1]
         np.testing.assert_allclose(averaged, bob_spins[n] / n, atol=1e-12)
 

@@ -229,9 +229,13 @@ class TestOptimalTime:
             probe = fidelity(squeezing_run(n, tau_opt + delta), epr_minus(n))
             assert probe <= fid + 1e-12
 
-    def test_rejects_single_atom(self):
+    def test_single_atom_peaks_at_quarter_pi(self):
+        # At N = 1 the fidelity is (1 + sin 2 tau) / 2: one peak, F = 1.
+        tau_opt, fid = find_optimal_time(1)
+        assert tau_opt == pytest.approx(math.pi / 4, abs=1e-7)
+        assert fid == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(DomainError):
-            find_optimal_time(1)
+            find_optimal_time(0)
 
     @pytest.mark.parametrize("n", [*range(2, 81), 100, 200, 400, 800])
     def test_bitwise_equal_to_argmax_oracle(self, n):
