@@ -35,7 +35,6 @@ import os
 import sys
 import time
 from contextlib import suppress
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -61,20 +60,11 @@ from .squeezing import (
 )
 from .wigner import wigner_map
 
-__all__ = ["ExperimentConfig", "parse_config", "execute", "main"]
+__all__ = ["execute", "main"]
 
 
 class UsageError(Exception):
     """Bad command line or config file; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully resolved run: the subcommand and its typed parameters, keyed
-    by flag name with underscores (``out`` and ``format`` included)."""
-
-    subcommand: str
-    params: Mapping[str, object]
 
 
 # --- value parsing --------------------------------------------------------
@@ -259,8 +249,8 @@ def _help(p: Param) -> str:
     return text.replace("%", "%%")
 
 
-def _resolve(ns: argparse.Namespace) -> ExperimentConfig:
-    """Merge flags over config-file values through the subcommand's table."""
+def _resolve(ns: argparse.Namespace) -> dict[str, object]:
+    """The typed parameters: flags over config-file values, keys with underscores."""
     table = _COMMANDS[ns.subcommand].params
     file_values = _load_config_file(ns.config) if ns.config else {}
     unknown = set(file_values) - {p.key for p in table}
@@ -284,7 +274,7 @@ def _resolve(ns: argparse.Namespace) -> ExperimentConfig:
         if complaint:
             raise UsageError(f"{name}: {complaint}")
         values[dest] = value
-    return ExperimentConfig(ns.subcommand, values)
+    return values
 
 
 # --- serialization --------------------------------------------------------
@@ -577,7 +567,8 @@ def _run_error_sweep(p) -> tuple[str, dict]:
     Param("rule", _parse_rule, "highest",
           "Alice's outcome per shot: highest, lowest, or an integer"),
     _TAU._replace(default=lambda v: _optimal_tau(max(2, round(v["nbar"]))),
-                  help="common squeezing time (default: optimal for round(nbar))"),
+                  help="common squeezing time (default: optimal for "
+                  "max(2, round(nbar)))"),
     _PHI._replace(default="pi:-0.25"),
     _THETA_NODES,
 )
@@ -621,19 +612,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
-    """Resolve argv plus any config file into a validated run description."""
-    return _resolve(build_parser().parse_args(argv))
-
-
-def execute(config: ExperimentConfig) -> dict:
-    """Run one resolved subcommand; write its output and its manifest."""
+def execute(subcommand: str, params: Mapping[str, object]) -> dict:
+    """Run one subcommand on resolved parameters; write output and manifest."""
     started = time.perf_counter()
-    text, extras = _COMMANDS[config.subcommand].run(config.params)
-    out = config.params["out"]
+    text, extras = _COMMANDS[subcommand].run(params)
+    out = params["out"]
     checksums = write_output(text, out)
     manifest = {
-        "config": {"subcommand": config.subcommand, **config.params, **extras},
+        "config": {"subcommand": subcommand, **params, **extras},
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "checksums": checksums,
@@ -645,7 +631,7 @@ def execute(config: ExperimentConfig) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        execute(_resolve(ns))
+        execute(ns.subcommand, _resolve(ns))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

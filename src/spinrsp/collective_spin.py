@@ -139,7 +139,15 @@ def _tridiagonal_eigh(diag, off, what: str) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"tridiagonal eigensolver failed for {what}") from exc
 
 
-@lru_cache(maxsize=16)
+def _z_phases(n_atoms: int, angle) -> np.ndarray:
+    """Diagonal of exp(i S^z angle/2), one column per angle for an array: the
+    one form of every single-ensemble z-rotation and Fock-diagonal phase."""
+    m = 2 * np.arange(n_atoms + 1) - n_atoms
+    return np.exp(0.5j * np.multiply.outer(m, angle))
+
+
+# One entry: a run uses one N, and each size of --n-list once.
+@lru_cache(maxsize=1)
 def _sx_eigenvectors(n_atoms: int) -> np.ndarray:
     """Eigenvectors of the real tridiagonal S^x, ordered by eigenvalue.
 
@@ -167,11 +175,15 @@ def y_rotation_matrix(n_atoms: int, theta: float) -> np.ndarray:
     vecs = _sx_eigenvectors(n_atoms)
     kk = np.arange(n_atoms + 1)
     half = 0.5 * theta * (2.0 * kk - n_atoms)
-    q = (kk[:, None] - kk[None, :]) % 4
-    # Re[(-i)^q (C - i S)] is C, -S, -C, S for q = 0, 1, 2, 3.
-    part = np.where(q % 2 == 0, (vecs * np.cos(half)) @ vecs.T,
-                    (vecs * np.sin(half)) @ vecs.T)
-    return np.where((q == 1) | (q == 2), -part, part)
+    d = (vecs * np.cos(half)) @ vecs.T
+    s = (vecs * np.sin(half)) @ vecs.T
+    # Re[(-i)^(kp - k) (C - i S)] is sigma_kp sigma_k C on even kp - k and
+    # +-sigma_kp sigma_k S on odd kp - k (- for odd kp); sigma_k = (-1)^(k//2).
+    d[0::2, 1::2], d[1::2, 0::2] = s[0::2, 1::2], -s[1::2, 0::2]
+    sigma = np.where(kk // 2 % 2, -1.0, 1.0)
+    d *= sigma
+    d *= sigma[:, None]
+    return d
 
 
 def rotation_log_column(
@@ -200,5 +212,4 @@ def rotation_log_column(
             + np.where(b == 0, 0.0, b * np.log(c))
             + np.log(np.abs(jacobi))
         )
-    z_phase = np.exp(-1j * (2 * kp - n_atoms) * spec.phi / 2.0)
-    return z_phase * sign * np.sign(jacobi), log_moduli
+    return _z_phases(n_atoms, -spec.phi) * sign * np.sign(jacobi), log_moduli

@@ -27,6 +27,7 @@ from .collective_spin import (
     _NORM_TOL,
     EnsembleState,
     RotationSpec,
+    _z_phases,
     rotation_log_column,
     y_rotation_matrix,
 )
@@ -155,16 +156,6 @@ def _branch_moments(resource: DiagonalPairState, theta: float, phases):
     return d, moments
 
 
-def _alice_conjugate_phases(resource: DiagonalPairState, spec: RotationSpec):
-    """The conjugate z-phases of Alice's U(theta, pi - phi) on her labels k'.
-
-    Projecting Alice on <k| after U^dagger leaves Bob with
-    sum_k' psi_k' phases_k' D[k', k] |k'>, D the real y-rotation.
-    """
-    m = 2 * np.arange(resource.n_atoms + 1) - resource.n_atoms
-    return np.exp(1j * m * _alice_spec(spec).phi / 2.0)
-
-
 def branch_statistics(
     resource: DiagonalPairState, spec: RotationSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -177,16 +168,16 @@ def branch_statistics(
     below the zero-probability cut (``defined`` false) has probability 0
     and NaN spins and error; :func:`branch_state` builds the state itself.
 
-    Bob's branch k is sum_k' psi_k' phases_k' D[k', k] |k'> (see
-    :func:`_alice_conjugate_phases`), times exp(-i S^z pi/2) when k < N/2,
-    and its statistics are the quadratic forms of :func:`_spin_moments`.
+    Bob's branch k is sum_k' psi_k' phases_k' D[k', k] |k'>, with phases
+    conjugate to the z-rotation in Alice's U(theta, pi - phi), times
+    exp(-i S^z pi/2) when k < N/2: :func:`_spin_moments` gives its moments.
     In the ideal (spin-EPR) protocol outcome k leaves Bob's spins at
     |2k - N| (sin theta cos phi, sin theta sin phi) transverse and
     (2k - N) cos theta along z: outcomes k >= N/2 prepare the rotated Fock
     state |k> at (theta, phi), outcomes k < N/2 the one at (theta, phi + pi).
     """
-    phases = _alice_conjugate_phases(resource, spec)
     n = resource.n_atoms
+    phases = _z_phases(n, _alice_spec(spec).phi)
     probs, moments = _branch_moments(resource, spec.theta, phases)[1]
     defined = probs >= _ZERO_PROBABILITY
     spins = moments / np.where(defined, probs, 1.0)[:, None]
@@ -221,8 +212,8 @@ def branch_state(
     caller needs the state itself.  Raises :class:`UndefinedOutcomeError`
     for a branch below the zero-probability cut.
     """
-    phases = _alice_conjugate_phases(resource, spec)
     n = resource.n_atoms
+    phases = _z_phases(n, _alice_spec(spec).phi)
     if not 0 <= k <= n:
         raise DomainError(f"k must lie in [0, {n}], got {k}")
     d, (probs, _) = _branch_moments(resource, spec.theta, phases)
@@ -234,7 +225,7 @@ def branch_state(
         )
     amps = resource.psi * phases * d[:, k]
     if k < n / 2:
-        amps *= np.exp(-1j * (2 * np.arange(n + 1) - n) * math.pi / 2.0)
+        amps *= _z_phases(n, -math.pi)
     return EnsembleState(n, amps / math.sqrt(p))
 
 

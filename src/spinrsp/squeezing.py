@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .collective_spin import _checked_amplitudes, _tridiagonal_eigh
+from .collective_spin import _checked_amplitudes, _tridiagonal_eigh, _z_phases
 from .errors import DomainError, SearchFailureError
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "evolve_pair",
     "fidelity",
     "find_optimal_time",
-    "frame_phases",
     "pair_variances",
     "squeezing_run",
 ]
@@ -68,8 +67,8 @@ class VarianceTriple:
     var_zm: float  # Var(S^z_A - S^z_B)
 
 
-# Small: only (N, N) is shared, by the resource and find_optimal_time.
-@lru_cache(maxsize=4)
+# One entry: only (N, N) is shared, by find_optimal_time and then the resource.
+@lru_cache(maxsize=1)
 def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the 2A2S Hamiltonian H/J on the states
     |N_A - d, N_B - d>, d = 0..min(N_A, N_B), reachable from |N_A, N_B>.
@@ -100,16 +99,6 @@ def evolve_pair(n_a: int, n_b: int, tau: float) -> np.ndarray:
     return evecs @ (np.exp(-1j * evals * tau) * evecs[0, :])
 
 
-def frame_phases(n_atoms: int) -> np.ndarray:
-    """Diagonal phases exp(i (2k - N) pi/4) of the two-ensemble frame rotation.
-
-    Each ensemble contributes exp(i (2k - N) pi/8); on the diagonal pair
-    basis |k,k> the two factors multiply.
-    """
-    k = np.arange(n_atoms + 1)
-    return np.exp(1j * (2 * k - n_atoms) * math.pi / 4.0)
-
-
 def epr_minus(n_atoms: int) -> DiagonalPairState:
     """The spin-EPR resource psi_k = (-1)^k / sqrt(N+1).
 
@@ -135,15 +124,15 @@ def squeezing_run(n_atoms: int, tau: float) -> DiagonalPairState:
 
     exp(-i H tau) |N>_A |N>_B is the N_A = N_B case of :func:`evolve_pair`,
     read with the labels k = N - d in ascending order, and then rotated by
-    :func:`frame_phases`.
+    exp(i S^z pi/8) on each ensemble: on |k,k> the two factors multiply to
+    exp(i (2k - N) pi/4).
     """
     if n_atoms < 1:
         raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    return DiagonalPairState(
-        n_atoms, evolve_pair(n_atoms, n_atoms, tau)[::-1] * frame_phases(n_atoms)
-    )
+    frame = _z_phases(n_atoms, math.pi / 2)
+    return DiagonalPairState(n_atoms, evolve_pair(n_atoms, n_atoms, tau)[::-1] * frame)
 
 
 # Step of the first-peak scan over (0, pi/2], capped at 1/N so that the peak
@@ -164,7 +153,7 @@ def find_optimal_time(n_atoms: int) -> tuple[float, float]:
     if n_atoms < 1:
         raise DomainError(f"find_optimal_time requires n_atoms >= 1, got {n_atoms}")
     evals, evecs = _eigensystem(n_atoms, n_atoms)
-    target = epr_minus(n_atoms).psi * frame_phases(n_atoms).conj()
+    target = epr_minus(n_atoms).psi * _z_phases(n_atoms, math.pi / 2).conj()
     # <EPR_-| F exp(-i H t) |N,N> expressed in the eigenbasis: the frame
     # phases are folded into the bra (conjugated once more below).
     bra = np.conj(target) @ evecs

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .collective_spin import EnsembleState, _tridiagonal_eigh, y_rotation_matrix
+from .collective_spin import (EnsembleState, _tridiagonal_eigh, _z_phases,
+                              y_rotation_matrix)
 from .errors import DomainError
 
 __all__ = ["SphereMap", "wigner_map"]
@@ -184,8 +185,7 @@ def wigner_map(
     """
     n = state.n_atoms
     theta, phi = _quadrature_grid(n, n_theta, n_phi)
-    m = 2 * np.arange(n + 1) - n
-    turned = state.amplitudes[:, None] * np.exp(0.5j * np.outer(m, phi))
+    turned = state.amplitudes[:, None] * _z_phases(n, phi)
     columns = np.concatenate([turned.real, turned.imag], axis=1)
     delta = _kernel_weights(n)
     values = np.empty((len(theta), len(phi)))

@@ -72,7 +72,6 @@ from spinrsp.squeezing import (
     _eigensystem,
     epr_minus,
     evolve_pair,
-    frame_phases,
 )
 from spinrsp.wigner import SphereMap, _quadrature_grid, _wigner_3j_doubled
 
@@ -1022,7 +1021,8 @@ def argmax_optimal_time(
     if n_atoms < 1:
         raise DomainError(f"find_optimal_time requires n_atoms >= 1, got {n_atoms}")
     evals, evecs = _eigensystem(n_atoms, n_atoms)
-    target = epr_minus(n_atoms).psi * frame_phases(n_atoms).conj()
+    frame = np.exp(1j * (2 * np.arange(n_atoms + 1) - n_atoms) * math.pi / 4.0)
+    target = epr_minus(n_atoms).psi * frame.conj()
     # <EPR_-| F exp(-i H t) |N,N> expressed in the eigenbasis: the frame
     # phases are folded into the bra (conjugated once more below).
     bra = np.conj(target) @ evecs

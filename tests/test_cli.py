@@ -173,8 +173,8 @@ class TestMemoizedRender:
     def render_both(self, tmp_path, monkeypatch, *args):
         out = tmp_path / "out.csv"
         assert run_main(*args, "--out", str(out)) == 0
-        config = cli.parse_config([*args, "--out", str(out)])
-        header, rows = self.oracle_rows(config.subcommand, config.params)
+        ns = cli.build_parser().parse_args([*args, "--out", str(out)])
+        header, rows = self.oracle_rows(ns.subcommand, cli._resolve(ns))
         return out.read_bytes(), per_cell_csv(header, rows).encode("utf-8")
 
     @pytest.mark.parametrize("theta", ["0", "0.7", "pi:1"])
@@ -312,12 +312,80 @@ class TestDefaultTauAtOneAtom:
         assert tau == pytest.approx(math.pi / 4, abs=1e-7)
 
 
+# theta = 2 pi - eps folds to (eps, phi + pi).
+_EDGE_THETAS = ("0", "pi:1", repr(2 * math.pi - 1e-9))
+
+
+def _edge_cases():
+    """Every subcommand at the edges of its table: N in {1, 2, 3}, theta in
+    {0, pi, 2 pi - eps}, k in {0, N}, tau defaulted or 0, the smallest node
+    counts, --resource epr, --n-list 1,N and --nbar below 1."""
+    for n in (1, 2, 3):
+        size = ("--n", str(n))
+        yield ("optimal-time", *size)
+        for tau in ((), ("--tau", "0")):
+            yield ("squeeze", *size, *tau)
+            yield ("prob-dist", *size, "--theta-nodes", "2", *tau)
+            yield ("spin-sweep", *size, "--theta-nodes", "2", "--phi-nodes", "2", *tau)
+            yield ("error-sweep", *size, "--theta-nodes", "2", "--phi-nodes", "2",
+                   "--k-cut", "0", *tau)
+            yield ("error-sweep", "--n-list", f"1,{n}", "--k-cut", "0", *tau)
+            for theta in _EDGE_THETAS:
+                at = (*size, "--theta", theta)
+                yield ("protocol", *at, *tau)
+                yield ("prob-dist", *at, *tau)
+                yield ("error-sweep", *at, "--phi-nodes", "2", *tau)
+                for k in ("0", str(n)):
+                    yield ("spin-sweep", *at, "--k", k, "--phi-nodes", "2", *tau)
+                    yield ("wigner-map", *at, "--k", k, *tau, "--theta-nodes",
+                           str(2 * n + 2), "--phi-nodes", str(4 * n + 2))
+        for theta in _EDGE_THETAS:
+            for k in ("0", str(n)):
+                yield ("wigner-map", *size, "--theta", theta, "--k", k,
+                       "--resource", "epr")
+    for nbar in ("0.3", "0.6", "1", "2"):
+        for rule in ("highest", "lowest", "3"):
+            yield ("fluctuation", "--nbar", nbar, "--rule", rule, "--theta-nodes", "3")
+
+
+class TestDocumentedRange:
+    """Each edge case exits 0, except a Wigner map of a branch that the
+    tau = 0 resource |N, N> cannot reach.  D(0) is the identity and D(pi)
+    the reversal, so Bob's branch 0 at theta = 0 and branch N at theta = pi
+    are exactly zero; at theta = eps branch 0 has probability
+    sin(eps/2)^(2N), below the 1e-14 cut.  Those runs exit 4 naming the
+    outcome and write no file."""
+
+    @pytest.mark.parametrize(
+        "subcommand", sorted({args[0] for args in _edge_cases()}))
+    def test_edges_exit_cleanly(self, tmp_path, capsys, subcommand):
+        cases = [args for args in _edge_cases() if args[0] == subcommand]
+        failures = []
+        for i, args in enumerate(cases):
+            opts = dict(zip(args[1::2], args[2::2]))
+            out = tmp_path / f"{i}.out"
+            code = run_main(*args, "--out", str(out))
+            err = capsys.readouterr().err
+            if (subcommand == "wigner-map" and opts.get("--tau") == "0"
+                    and (opts["--k"] == "0") == (opts["--theta"] != "pi:1")):
+                named = (f"outcome k={opts['--k']} has zero probability at "
+                         f"N={opts['--n']}, theta=")
+                ok = (code == 4 and named in err and not out.exists()
+                      and not pathlib.Path(f"{out}.manifest.json").exists())
+            else:
+                ok = code == 0
+            if not ok:
+                failures.append((args, code, err))
+        assert cases and not failures
+
+
 class TestParseExamples:
     def test_optimal_time_flags(self, tmp_path):
         out = tmp_path / "opt.json"
-        config = cli.parse_config(["optimal-time", "--n", "20", "--out", str(out)])
-        assert config.subcommand == "optimal-time"
-        assert config.params["format"] == "json"
+        ns = cli.build_parser().parse_args(
+            ["optimal-time", "--n", "20", "--out", str(out)])
+        assert ns.subcommand == "optimal-time"
+        assert cli._resolve(ns)["format"] == "json"
 
     def test_prob_dist_pi_theta(self, tmp_path):
         out = tmp_path / "pd.csv"
@@ -871,6 +939,15 @@ class TestParameterTable:
         for key, value in self.DEFAULTS[subcommand].items():
             assert f"(default {value})" in entries[f"-{key}"], (key, entries)
         assert "(required)" in entries["-out"]
+
+    def test_fluctuation_tau_help_names_the_clamp(self, capsys):
+        # Below nbar = 1.5 the default is still N = 2's optimal time.
+        with pytest.raises(SystemExit):
+            cli.main(["fluctuation", "--help"])
+        entries = [" ".join(entry.split())
+                   for entry in capsys.readouterr().out.split("\n  -")[1:]]
+        tau = next(entry for entry in entries if entry.startswith("-tau "))
+        assert tau.endswith("(default: optimal for max(2, round(nbar)))"), tau
 
     @pytest.mark.parametrize(
         "args,flag",
