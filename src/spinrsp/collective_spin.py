@@ -15,7 +15,9 @@ so that [S^j, S^k] = 2i eps_{jkl} S^l.  Rotations from the north pole are
 
 The y-rotation matrix comes from the eigenbasis of S^x, which is real
 tridiagonal; single rotated columns keep the closed form (Jacobi
-polynomials) for its relative accuracy in the tails.
+polynomials) for its relative accuracy in the tails.  Every tridiagonal
+eigenproblem of the package goes through one solver here, which stays in
+numpy up to N = 200 and loads scipy only for larger matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NumericalError
 
@@ -126,14 +127,37 @@ def _y_rotation_exponents(n: int, kp, k):
     return k0, a, b, 0.5 * (log_c1 - log_c2), sign
 
 
-def _tridiagonal_eigh(diag, off, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, eigenvectors as columns) of the real symmetric
-    tridiagonal matrix with ``diag`` and ``off``; both arrays are writable.
+# Largest matrix solved densely by numpy, N = 200.  Up to here numpy's eigh
+# gives the same bits as scipy's eigh_tridiagonal on the package's matrices
+# (eigenvectors Fortran-ordered; numpy 2.4 and scipy 1.17 wheels, pinned by
+# test_collective.py's TestEigensolverRoutes), and it spares a CLI run the
+# import of scipy.linalg, about 0.3 s on a 2-vCPU host, more than a typical
+# run's work.
+_DENSE_EIGH_MAX = 201
 
-    The package's one eigensolver: a LAPACK failure raises
+
+def _tridiagonal_eigh(diag, off, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, eigenvectors as Fortran-ordered columns) of
+    the real symmetric tridiagonal matrix with ``diag`` and ``off``; both
+    arrays are writable.
+
+    The package's one eigensolver, with two LAPACK routes chosen by size.
+    Up to ``_DENSE_EIGH_MAX`` rows it runs ``np.linalg.eigh`` on the dense
+    matrix, so that a CLI run at those sizes never imports scipy.linalg.
+    For S^x, the 2A2S Hamiltonian and J^2 on M = 0 this gives the same bits
+    as ``scipy.linalg.eigh_tridiagonal`` at every such size, provided the
+    eigenvectors keep its column-major layout, which the BLAS products
+    downstream read.  Larger matrices import and run ``eigh_tridiagonal``:
+    there the two routes part in the last bit, and its O(N^2) solve beats
+    the dense O(N^3) one.  Either way a LAPACK failure raises
     :class:`NumericalError` naming ``what`` was being solved.
     """
     try:
+        if len(diag) <= _DENSE_EIGH_MAX:
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            evals, evecs = np.linalg.eigh(dense)
+            return evals, np.asfortranarray(evecs)
+        from scipy.linalg import eigh_tridiagonal  # here, off the CLI's import time
         return eigh_tridiagonal(diag, off)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"tridiagonal eigensolver failed for {what}") from exc

@@ -268,18 +268,28 @@ def postselected_error(branches: tuple, k_cut: int) -> tuple[float, float]:
 # that tridiagonal problem, shared with the resource's N_A = N_B case.
 
 
-def _evolved_rows(n_a: int, n_bs: np.ndarray, tau: float) -> np.ndarray:
+def _evolved_rows(n_a: int, n_bs: np.ndarray, tau: float, kept: dict) -> np.ndarray:
     """The evolved pairs (N_A, N_B) for each N_B in ``n_bs``, in the
     rotated frame of both ensembles, one zero-padded row per N_B.
 
     Row entry k_b = N_B - d holds the amplitude on |N_A - d, N_B - d>.
+    Over d, the pairs (N_A, N_B) and (N_B, N_A) are the same vector: the
+    couplings are symmetric in the two sizes, and so is the frame exponent
+    (2k_a - N_A) + (2k_b - N_B) = N_A + N_B - 4d.  Rows are built in
+    ascending N_A, so a pair is taken from ``kept`` when an earlier row
+    evolved its mirror, and one evolved here with 0 < N_A < N_B is left
+    there for row N_B.
     """
     amps = np.zeros((len(n_bs), int(np.max(n_bs, initial=0)) + 1), dtype=complex)
-    for row, n_b in zip(amps, n_bs):
-        d = np.arange(min(n_a, n_b) + 1)
-        k_a, k_b = n_a - d, n_b - d
-        frame = np.exp(1j * ((2 * k_a - n_a) + (2 * k_b - n_b)) * math.pi / 8.0)
-        row[k_b] = evolve_pair(n_a, int(n_b), tau) * frame
+    for row, n_b in zip(amps, n_bs.tolist()):
+        vec = kept.pop((n_b, n_a), None)
+        if vec is None:
+            d = np.arange(min(n_a, n_b) + 1)
+            frame = np.exp(1j * (n_a + n_b - 4 * d) * math.pi / 8.0)
+            vec = evolve_pair(n_a, n_b, tau) * frame
+            if 0 < n_a < n_b:
+                kept[(n_a, n_b)] = vec
+        row[n_b - np.arange(len(vec))] = vec
     return amps
 
 
@@ -326,8 +336,9 @@ def fluctuating_spin_averages(
     normalized conditional spin vector divided by N_B, with Alice's outcome
     chosen by ``fspec.outcome_rule`` and a common squeezing time tau.
     Zero-probability branches and empty Bob ensembles contribute nothing;
-    fixed-rule outcomes exceeding a shot's N_A are skipped.  Each pair is
-    evolved once per call, whatever the number of targets.
+    fixed-rule outcomes exceeding a shot's N_A are skipped.  Each unordered
+    pair {N_A, N_B} is evolved once per call, whatever the number of
+    targets.
 
     A branch counts as zero-probability only when it vanishes next to the
     largest Alice amplitude it can reach (see ``_pair_spins``), not when
@@ -345,13 +356,15 @@ def fluctuating_spin_averages(
     n_bs, per_atom = ns[bob], weights[bob] / ns[bob]
     acc = np.zeros((len(specs), 3))
     skipped = 0
-    for w_a, n_a in zip(weights, ns):
-        n_a = int(n_a)
+    # A fixed-rule outcome skips only rows N_A below it, so every row above
+    # one that runs also runs, and reads the pairs kept for it.
+    kept: dict = {}
+    for w_a, n_a in zip(weights, ns.tolist()):
         k = fspec.outcome_for(n_a)
         if k > n_a:
             skipped += len(ns)
             continue
-        amps = _evolved_rows(n_a, n_bs, tau)
+        amps = _evolved_rows(n_a, n_bs, tau, kept)
         for total, spec in zip(acc, specs):
             spins, _, defined, _ = _pair_spins(n_a, n_bs, amps, k, spec)
             total += w_a * (per_atom[defined] @ spins[defined])

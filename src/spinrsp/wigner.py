@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .collective_spin import (EnsembleState, _tridiagonal_eigh, _z_phases,
                               y_rotation_matrix)
@@ -162,7 +163,7 @@ def _quadrature_grid(
         raise DomainError(
             f"n_phi={n_phi} is below the exactness bound {min_phi} for j={n_atoms / 2}"
         )
-    theta = np.arccos(np.polynomial.legendre.leggauss(n_theta)[0])[::-1]
+    theta = np.arccos(leggauss(n_theta)[0])[::-1]
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     return theta, phi
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinrsp import collective_spin, squeezing, wigner
 
@@ -16,15 +17,17 @@ _SOLVE_CACHES = (
 @pytest.fixture
 def failing_eigensolver(monkeypatch):
     """Make every tridiagonal eigensolve fail as LAPACK does on
-    non-convergence, with the solve caches emptied so nothing is served
-    from an earlier test."""
+    non-convergence, on both of the solver's routes (numpy's dense eigh up
+    to N = 200, scipy's eigh_tridiagonal above), with the solve caches
+    emptied so nothing is served from an earlier test."""
 
-    def fail(diag, off):
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
     for cache in _SOLVE_CACHES:
         cache.cache_clear()
-    monkeypatch.setattr(collective_spin, "eigh_tridiagonal", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
     yield
     monkeypatch.undo()
     for cache in _SOLVE_CACHES:

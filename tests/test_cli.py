@@ -268,6 +268,32 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_leaves_out_scipy(self):
+        # Eigensolves up to N = 200 run in numpy; scipy.linalg, whose import
+        # outweighs a typical run, loads only for larger matrices.
+        proc = run_process(argv=(
+            "-c", "import sys, spinrsp.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_benchmark_sized_runs_leave_out_scipy(self, tmp_path):
+        # One N = 200 polar slice and one N = 60 Wigner map, the sizes of the
+        # two benchmark workloads, run through cli.main in one interpreter.
+        script = (
+            "import sys, spinrsp.cli as cli\n"
+            "jobs = [['spin-sweep', '--n', '200', '--theta', 'pi:0.5',\n"
+            "         '--phi-nodes', '8', '--out', sys.argv[1]],\n"
+            "        ['wigner-map', '--n', '60', '--theta', '0.5', '--k', '59',\n"
+            "         '--out', sys.argv[2]]]\n"
+            "print([cli.main(job) for job in jobs])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = run_process(str(tmp_path / "slice.csv"), str(tmp_path / "map.csv"),
+                           argv=("-c", script))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[0, 0]", "[]"]
+
 
 class TestDefaultTauAtLargeN:
     """The default tau is the first fidelity peak, not a later revival."""

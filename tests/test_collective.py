@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from oracles import (
     alternating_sum_rotation,
@@ -22,6 +23,7 @@ from oracles import (
 from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
+    _tridiagonal_eigh,
     rotation_log_column,
     y_rotation_matrix,
 )
@@ -317,9 +319,45 @@ class TestEigensolverFailure:
         (lambda: y_rotation_matrix(7, 0.4), "S^x at N=7"),
         (lambda: _eigensystem(7, 5), "2A2S Hamiltonian at sizes (7, 5)"),
         (lambda: _kernel_weights(7), "J^2 on M = 0 at N=7"),
-    ], ids=["sx", "2a2s", "j2"])
+        # Above the dense bound: the scipy route maps its failure the same way.
+        (lambda: y_rotation_matrix(201, 0.4), "S^x at N=201"),
+    ], ids=["sx", "2a2s", "j2", "sx-n201"])
     def test_failure_is_numerical_error(self, failing_eigensolver, solve, names):
         with pytest.raises(NumericalError, match="eigensolver failed") as info:
             solve()
         assert names in str(info.value)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestEigensolverRoutes:
+    """Up to 201 rows (N = 200) the solver runs numpy's dense eigh instead
+    of scipy's eigh_tridiagonal, which keeps scipy.linalg off the CLI's
+    import path.  That is only safe while both give the same bits, layout
+    included, on every matrix the package solves."""
+
+    @staticmethod
+    def families(n_a, n_b):
+        """(name, diag, off) of S^x at N_A, the 2A2S Hamiltonian at
+        (N_A, N_B) and J^2 on M = 0 at N_A, built as the library builds them."""
+        k = np.arange(n_a + 1)
+        d = np.arange(min(n_a, n_b))
+        return [
+            ("sx", np.zeros(n_a + 1), np.sqrt((k[:-1] + 1.0) * (n_a - k[:-1]))),
+            ("2a2s", np.zeros(len(d) + 1),
+             (d + 1.0) * np.sqrt((n_a - d) * (n_b - d))),
+            ("j2", 0.5 * n_a * (n_a + 2.0) - 0.5 * (2.0 * k - n_a) ** 2,
+             (k[:-1] + 1.0) * (n_a - k[:-1])),
+        ]
+
+    @pytest.mark.parametrize("n_a,n_b", [
+        (1, 1), (2, 2), (3, 3), (10, 10), (60, 60), (199, 199), (200, 200),
+        (7, 5), (40, 33), (120, 200), (200, 150),
+    ])
+    def test_dense_route_matches_eigh_tridiagonal_bitwise(self, n_a, n_b):
+        for name, diag, off in self.families(n_a, n_b):
+            evals, evecs = _tridiagonal_eigh(diag.copy(), off.copy(), name)
+            ref_vals, ref_vecs = eigh_tridiagonal(diag, off)
+            assert np.array_equal(evals, ref_vals), name
+            assert np.array_equal(evecs, ref_vecs), name
+            assert evecs.flags.f_contiguous == ref_vecs.flags.f_contiguous, name
+            assert evals.flags.writeable and evecs.flags.writeable, name
