@@ -10,6 +10,13 @@ with U the rotation of :mod:`spinrsp.collective_spin` and the weights Delta_k
 from one table of Clebsch-Gordan coefficients (Agarwal, PRA 24, 2889
 (1981); Koczor, Zeier & Glaser, PRA 102, 062421 (2020)).  Negative regions
 of the map witness non-classicality of the prepared state.
+
+The map never builds U.  In the eigenbasis of S^x, whose spectrum
+-N, -N + 2, ..., N is equally spaced, theta enters only as the phases
+exp(-i p theta), p = 0..N (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)),
+so W is a double Fourier series: O(N^2 n_phi + n_theta N n_phi) for the
+whole grid, against n_theta O(N^3 + N^2 n_phi) for one rotation matrix per
+polar node.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .collective_spin import (EnsembleState, _tridiagonal_eigh, _z_phases,
-                              y_rotation_matrix)
+from .collective_spin import (EnsembleState, _sx_eigenvectors, _tridiagonal_eigh,
+                              _z_phases)
 from .errors import DomainError
 
 __all__ = ["SphereMap", "wigner_map"]
@@ -177,20 +184,38 @@ def wigner_map(
     W has spherical-harmonic degree at most N, so with Gauss-Legendre nodes
     in cos(theta) (at least 2N + 2 of them) and a uniform azimuthal grid on
     [0, 2 pi) (at least 4N + 2 points) its quadrature integrals are exact up
-    to roundoff.  Defaults are 121 x 241, enough for N up to 59.
+    to roundoff.  Defaults are 121 x 241, enough for N up to 59.  The node
+    bounds serve those integrals only; the values at the nodes need none.
 
-    Each theta node costs one real product of the transposed
-    :func:`y_rotation_matrix` with the (N+1) x n_phi columns
-    psi_k' exp(i (2k' - N) phi / 2); W is the weights Delta times the
-    squared moduli of the result, real by construction.
+    With S^x = V diag(-N, -N + 2, ..., N) V^T and S^y = P S^x P^dagger,
+    P = diag((-i)^k), the map is a double Fourier series
+
+        W(theta, phi) = sum_ab K_ab conj(y_a) y_b exp(-i (a - b) theta)
+                      = S_0(phi) + 2 Re sum_{p=1..N} exp(-i p theta) S_p(phi),
+
+    with K = V^T diag(Delta) V, y(phi) = V^T P^dagger exp(i S^z phi/2) psi
+    and S_p = sum_a K_{a+p,a} conj(y_{a+p}) y_a.  So no rotation matrix is
+    built: one real product gives y on every phi node, N + 1 diagonal sums
+    give the S_p, and two real (n_theta x (N+1)) (N+1 x n_phi) products
+    give the rows, O(N^2 n_phi + n_theta N n_phi) in all.
     """
     n = state.n_atoms
     theta, phi = _quadrature_grid(n, n_theta, n_phi)
-    turned = state.amplitudes[:, None] * _z_phases(n, phi)
-    columns = np.concatenate([turned.real, turned.imag], axis=1)
-    delta = _kernel_weights(n)
-    values = np.empty((len(theta), len(phi)))
-    for i, t in enumerate(theta.tolist()):
-        rotated = y_rotation_matrix(n, t).T @ columns
-        values[i] = delta @ (rotated[:, : len(phi)] ** 2 + rotated[:, len(phi) :] ** 2)
+    vecs = _sx_eigenvectors(n)
+    kernel = vecs.T @ (_kernel_weights(n)[:, None] * vecs)
+    orders = np.arange(n + 1)
+    # P^dagger = diag(i^k), exact: phases from exp(i S^z pi/4) would carry
+    # rounding of up to N pi/4 eps.
+    i_to_k = np.array([1.0, 1.0j, -1.0, -1.0j])[orders % 4]
+    turned = (state.amplitudes * i_to_k)[:, None] * _z_phases(n, phi)
+    y = vecs.T @ np.concatenate([turned.real, turned.imag], axis=1)
+    y = y[:, : len(phi)] + 1j * y[:, len(phi) :]
+    y_bar, products = y.conj(), np.empty_like(y)
+    series = np.empty_like(y)
+    for p in range(n + 1):
+        pairs = np.multiply(y_bar[p:], y[: n + 1 - p], out=products[: n + 1 - p])
+        series[p] = np.diagonal(kernel, -p) @ pairs
+    angles = np.multiply.outer(theta, orders)
+    scale = np.where(orders, 2.0, 1.0)
+    values = (np.cos(angles) * scale) @ series.real + (np.sin(angles) * scale) @ series.imag
     return SphereMap(theta, phi, values)

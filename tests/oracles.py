@@ -52,6 +52,7 @@ from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
     _y_rotation_exponents,
+    _z_phases,
     rotation_log_column,
     y_rotation_matrix,
 )
@@ -73,7 +74,12 @@ from spinrsp.squeezing import (
     epr_minus,
     evolve_pair,
 )
-from spinrsp.wigner import SphereMap, _quadrature_grid, _wigner_3j_doubled
+from spinrsp.wigner import (
+    SphereMap,
+    _kernel_weights,
+    _quadrature_grid,
+    _wigner_3j_doubled,
+)
 
 
 # --- collective operators from first principles ---------------------------
@@ -633,6 +639,28 @@ def multipole_wigner_map(
     grid of :func:`spinrsp.wigner.wigner_map` (the map's former route)."""
     theta, phi = _quadrature_grid(round(2 * state.j), n_theta, n_phi)
     return SphereMap(theta, phi, wigner_values(state, theta, phi))
+
+
+def rotation_wigner_map(
+    state: EnsembleState,
+    n_theta: int | None = None,
+    n_phi: int | None = None,
+    rows=slice(None),
+) -> SphereMap:
+    """The rows ``rows`` of :func:`spinrsp.wigner.wigner_map` by the map's
+    former route, one D(theta) product per polar node: Delta times the
+    squared moduli of D(theta)^T exp(i S^z phi/2) psi."""
+    n = state.n_atoms
+    theta, phi = _quadrature_grid(n, n_theta, n_phi)
+    theta = theta[rows]
+    turned = state.amplitudes[:, None] * _z_phases(n, phi)
+    columns = np.concatenate([turned.real, turned.imag], axis=1)
+    delta = _kernel_weights(n)
+    values = np.empty((len(theta), len(phi)))
+    for i, t in enumerate(theta.tolist()):
+        rotated = y_rotation_matrix(n, t).T @ columns
+        values[i] = delta @ (rotated[:, : len(phi)] ** 2 + rotated[:, len(phi) :] ** 2)
+    return SphereMap(theta, phi, values)
 
 
 def sphere_weights(sphere: SphereMap) -> np.ndarray:

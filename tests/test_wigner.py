@@ -1,6 +1,7 @@
-"""Spherical Wigner maps from the pure-state kernel, checked against the
-density-matrix multipole stack (3j symbols, multipoles, harmonics) that
-lives in the oracles, and that stack against its own loop oracles."""
+"""Spherical Wigner maps from the pure-state kernel's Fourier series, checked
+against two former routes that live in the oracles: one D(theta) product
+per polar node, and the density-matrix multipole stack (3j symbols,
+multipoles, harmonics), itself checked against its own loop oracles."""
 
 import math
 from fractions import Fraction
@@ -20,6 +21,7 @@ from oracles import (
     multipole_decomposition,
     multipole_wigner_map,
     rotated_fock_state,
+    rotation_wigner_map,
     sphere_integral,
     sphere_minimum,
     sphere_weights,
@@ -28,11 +30,11 @@ from oracles import (
     wigner_3j_from_cg,
     wigner_values,
 )
-from spinrsp import wigner
+from spinrsp import collective_spin, wigner
 from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.errors import DomainError
 from spinrsp.protocol import branch_state, branch_statistics
-from spinrsp.squeezing import find_optimal_time, squeezing_run
+from spinrsp.squeezing import epr_minus, find_optimal_time, squeezing_run
 from spinrsp.wigner import (
     _kernel_weights,
     _m0_clebsch_gordan,
@@ -387,21 +389,52 @@ class TestWignerMap:
         assert sphere.values[i, j] == pytest.approx(value)
         assert value == pytest.approx(float(np.min(sphere.values)))
 
-    def test_no_scalar_symbols_and_one_rotation_per_theta_node(self, monkeypatch):
-        calls = []
-        rotation = wigner.y_rotation_matrix
+    def test_builds_no_rotation_matrix_and_no_3j_symbol(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("wigner_map built a rotation matrix")
 
-        def counted(n, theta):
-            calls.append(theta)
-            return rotation(n, theta)
-
-        monkeypatch.setattr(wigner, "y_rotation_matrix", counted)
+        monkeypatch.setattr(collective_spin, "y_rotation_matrix", refused)
+        monkeypatch.setattr(wigner, "y_rotation_matrix", refused, raising=False)
         state = rotated_fock_state(20, 19, RotationSpec(0.5, 0.3))
         before = _wigner_3j_doubled.cache_info()
-        sphere = wigner_map(state)
+        wigner_map(state)
         after = _wigner_3j_doubled.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
-        assert calls == sphere.theta.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 60, 200])
+    def test_matches_rotation_route(self, n):
+        # Worst seen against the per-node D(theta) route: 2 N eps at N = 1,
+        # 0.77 N eps at N = 10, 0.6 N eps at N = 60 and N = 200.
+        spec = RotationSpec(0.5, 0.0)
+        states = [rotated_fock_state(n, k, RotationSpec(0.8, 0.6))
+                  for k in sorted({0, n // 2, n})]
+        resource = squeezing_run(n, find_optimal_time(n)[0])
+        states += [branch_state(resource, spec, k) for k in sorted({n - 1, n})]
+        states.append(branch_state(squeezing_run(n, 0.0), spec, n))
+        states.append(branch_state(epr_minus(n), RotationSpec(1.2, 0.7), n // 2))
+        for state in states:
+            sphere = wigner_map(state)
+            rows = np.arange(0, len(sphere.theta), max(1, n // 20))
+            np.testing.assert_allclose(
+                sphere.values[rows], rotation_wigner_map(state, rows=rows).values,
+                rtol=0.0, atol=4 * n * np.finfo(float).eps,
+            )
+
+    def test_slowest_documented_map_at_n300(self):
+        # wigner-map --n 300 --theta 3.1 --k 0: a 602 x 1202 grid.
+        n = 300
+        resource = squeezing_run(n, find_optimal_time(n)[0])
+        state = branch_state(resource, RotationSpec(3.1, 0.0), 0)
+        sphere = wigner_map(state)
+        assert sphere.values.shape == (2 * n + 2, 4 * n + 2)
+        assert sphere_integral(sphere) == pytest.approx(
+            math.sqrt(4.0 * math.pi / (n + 1)), abs=1e-6
+        )
+        rows = np.array([0, 150, 300, 301, 450, 601])
+        np.testing.assert_allclose(
+            sphere.values[rows], rotation_wigner_map(state, rows=rows).values,
+            rtol=0.0, atol=4 * n * np.finfo(float).eps,
+        )
 
     def test_grid_bounds_enforced(self):
         state = epr_minus_single(30)
