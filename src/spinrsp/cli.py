@@ -300,36 +300,37 @@ def _json_text(payload: Mapping[str, object]) -> str:
     return json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _render(header: Sequence[str], lines: Sequence[str], fmt: str) -> str:
-    """Output text from CSV record lines, whose cells read ``f"{x:.12g}"``.
+def _render(header: Sequence[str], blocks: Sequence[str], fmt: str) -> str:
+    """Output text from blocks of newline-terminated CSV records.
 
-    JSON carries the same records: integers in the ``n`` and ``k`` columns,
-    the 12-digit floats elsewhere, and nan as null.
+    A runner fills each block with one ``%`` on a template: shared cells
+    are formatted once and put before every record by ``cell.join(["",
+    *records])``, the rest are placeholders, and ``"%.12g" % x`` reads as
+    ``f"{x:.12g}"``.  JSON carries the same records: integers in the ``n``
+    and ``k`` columns, the 12-digit floats elsewhere, nan as null.
     """
-    if not lines:
+    if not any(blocks):
         raise DomainError("no records to write")
     if fmt == "csv":
-        return ",".join(header) + "\n" + "\n".join(lines) + "\n"
+        return "".join([",".join(header) + "\n", *blocks])
     kinds = [int if name in ("n", "k") else float for name in header]
-    rows = [[kind(c) for kind, c in zip(kinds, line.split(","))] for line in lines]
+    rows = [[kind(c) for kind, c in zip(kinds, line.split(","))]
+            for line in "".join(blocks).splitlines()]
     payload = {"header": list(header), "rows": _json_ready(rows)}
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_line(row: Sequence) -> str:
-    return ",".join(f"{cell:.12g}" for cell in row)
-
-
 def write_output(text: str, path: str) -> dict[str, str]:
     """Write one output file; on failure remove the partial file."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except BaseException:
         with suppress(OSError):
             os.unlink(path)
         raise
-    return {path: hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    return {path: hashlib.sha256(data).hexdigest()}
 
 
 def _thetas(p: Mapping[str, object]) -> list[float]:
@@ -362,7 +363,7 @@ def _check_outcome(k: int, n: int) -> None:
 
 def _branch_columns(resource, theta: float, phis: Sequence[float], k_sel):
     """The branches at one polar angle as columns: (k, p, sz, e), shared by
-    every phi, and one (phi, sx, sy) per phi.
+    every phi, and (sx, sy) as arrays of one row per phi.
 
     Alice measures behind U(theta, pi - phi), so phi reaches Bob only as the
     z-rotation exp(-i S^z phi/2) of his conditional state: p, e and <S^z>
@@ -373,32 +374,30 @@ def _branch_columns(resource, theta: float, phis: Sequence[float], k_sel):
     probs, spins, errors, _ = branch_statistics(resource, base)
     ks = np.arange(len(probs)) if k_sel is None else np.array([k_sel])
     sx, sy, sz = spins[ks].T
-    turns = []
-    for phi in phis:
-        turn = RotationSpec(theta, phi).phi - base.phi
-        c, s = math.cos(turn), math.sin(turn)
-        turns.append((phi, (c * sx - s * sy).tolist(), (s * sx + c * sy).tolist()))
-    return (ks.tolist(), probs[ks].tolist(), sz.tolist(), errors[ks].tolist()), turns
+    turns = [RotationSpec(theta, phi).phi - base.phi for phi in phis]
+    c = np.array([math.cos(t) for t in turns])[:, None]
+    s = np.array([math.sin(t) for t in turns])[:, None]
+    columns = (ks.tolist(), probs[ks].tolist(), sz.tolist(), errors[ks].tolist())
+    return columns, (c * sx - s * sy, s * sx + c * sy)
 
 
-def _branch_lines(resource, thetas, phis, k_sel) -> list[str]:
-    """Records (theta, phi, k, p, sx, sy, sz, e) over a grid of targets.
+def _branch_blocks(resource, thetas, phis, k_sel) -> list[str]:
+    """Records (theta, phi, k, p, sx, sy, sz, e) over a grid of targets, one
+    block per polar angle.
 
-    They are built one polar angle at a time: theta and each phi are
-    formatted once, each branch's ``k,p,`` head and ``,sz,e`` tail once, and
-    only sx and sy cell by cell.  An undefined branch reads nan,nan,nan,nan.
+    A block's template formats theta and each phi once, and each branch's
+    ``k,p,`` head and ``,sz,e`` tail once; sx and sy, interleaved in numpy,
+    fill it in one ``%``.  An undefined branch reads nan,nan,nan,nan.
     """
-    lines = []
+    blocks = []
     for theta in thetas:
-        (ks, probs, szs, errors), turns = _branch_columns(resource, theta, phis, k_sel)
-        heads = [f"{k},{prob:.12g}," for k, prob in zip(ks, probs)]
-        tails = [f",{z:.12g},{e:.12g}" for z, e in zip(szs, errors)]
-        theta_cell = f"{theta:.12g},"
-        for phi, sx, sy in turns:
-            lead = f"{theta_cell}{phi:.12g},"
-            lines.extend(f"{lead}{head}{x:.12g},{y:.12g}{tail}"
-                         for head, x, y, tail in zip(heads, sx, sy, tails))
-    return lines
+        columns, (sx, sy) = _branch_columns(resource, theta, phis, k_sel)
+        records = [f"{k},{prob:.12g},%.12g,%.12g,{z:.12g},{e:.12g}\n"
+                   for k, prob, z, e in zip(*columns)]
+        template = "".join(f"{theta:.12g},{phi:.12g},".join(["", *records])
+                           for phi in phis)
+        blocks.append(template % tuple(np.stack((sx, sy), axis=-1).ravel().tolist()))
+    return blocks
 
 
 def _error_point(resource, theta, phi, k_cut) -> tuple:
@@ -442,20 +441,19 @@ def _run_squeeze(p) -> tuple[str, dict]:
           _N, _TAU, _THETA, _PHI)
 def _run_protocol_cmd(p) -> tuple[str, dict]:
     resource = squeezing_run(p["n"], p["tau"])
-    lines = _branch_lines(resource, [p["theta"]], [p["phi"]], None)
-    return _render(_BRANCH_HEADER, lines, p["format"]), {}
+    blocks = _branch_blocks(resource, [p["theta"]], [p["phi"]], None)
+    return _render(_BRANCH_HEADER, blocks, p["format"]), {}
 
 
 @_command("prob-dist", "outcome probabilities over a polar grid",
           _N, _TAU, _THETA_PIN, _THETA_NODES)
 def _run_prob_dist(p) -> tuple[str, dict]:
     resource = squeezing_run(p["n"], p["tau"])
-    lines = []
-    for theta in _thetas(p):
-        theta_cell = f"{theta:.12g},"
-        lines.extend(f"{theta_cell}{k},{prob:.12g}" for k, prob
-                     in enumerate(outcome_probabilities(resource, theta).tolist()))
-    return _render(("theta", "k", "p"), lines, p["format"]), {}
+    records = [f"{k},%.12g\n" for k in range(p["n"] + 1)]
+    blocks = [f"{theta:.12g},".join(["", *records])
+              % tuple(outcome_probabilities(resource, theta).tolist())
+              for theta in _thetas(p)]
+    return _render(("theta", "k", "p"), blocks, p["format"]), {}
 
 
 @_command(
@@ -467,8 +465,8 @@ def _run_spin_sweep(p) -> tuple[str, dict]:
     if p["k"] is not None:
         _check_outcome(p["k"], p["n"])
     resource = squeezing_run(p["n"], p["tau"])
-    lines = _branch_lines(resource, _thetas(p), _phis(p), p["k"])
-    return _render(_BRANCH_HEADER, lines, p["format"]), {}
+    blocks = _branch_blocks(resource, _thetas(p), _phis(p), p["k"])
+    return _render(_BRANCH_HEADER, blocks, p["format"]), {}
 
 
 @_command(
@@ -495,14 +493,11 @@ def _run_wigner_map(p) -> tuple[str, dict]:
     except DomainError as exc:  # a node count below the exactness bound
         raise UsageError(f"--theta-nodes/--phi-nodes: {exc}") from exc
     grid = {"theta_nodes": len(sphere.theta), "phi_nodes": len(sphere.phi)}
-    # By columns: each phi cell is formatted once, each theta once per
-    # block, and only the values cell by cell.
-    phi_cells = [f"{phi:.12g}," for phi in sphere.phi.tolist()]
-    lines = []
-    for theta, values in zip(sphere.theta.tolist(), sphere.values.tolist()):
-        head = f"{theta:.12g},"
-        lines.extend(f"{head}{phi}{w:.12g}" for phi, w in zip(phi_cells, values))
-    return _render(("theta", "phi", "w"), lines, p["format"]), grid
+    # One block per theta row: each phi cell is formatted once per map.
+    records = [f"{phi:.12g},%.12g\n" for phi in sphere.phi.tolist()]
+    blocks = [f"{theta:.12g},".join(["", *records]) % tuple(values)
+              for theta, values in zip(sphere.theta.tolist(), sphere.values.tolist())]
+    return _render(("theta", "phi", "w"), blocks, p["format"]), grid
 
 
 @_command(
@@ -536,23 +531,25 @@ def _run_error_sweep(p) -> tuple[str, dict]:
         # The errors do not depend on phi (see _branch_columns), so each
         # polar angle's values are computed and formatted once.
         resource = squeezing_run(p["n"], p["tau"])
-        phis, lines = _phis(p), []
+        records = [f"{phi:.12g},%s\n" for phi in _phis(p)]
+        blocks = []
         for theta in _thetas(p):
-            theta_cell = f"{theta:.12g},"
-            tail = "," + _csv_line(_error_point(resource, theta, 0.0, k_cut))
-            lines.extend(f"{theta_cell}{phi:.12g}{tail}" for phi in phis)
-        return _render(("theta", "phi", *columns), lines, p["format"]), {}
+            point = _error_point(resource, theta, 0.0, k_cut)
+            tails = (",".join(f"{x:.12g}" for x in point),) * len(records)
+            blocks.append(f"{theta:.12g},".join(["", *records]) % tails)
+        return _render(("theta", "phi", *columns), blocks, p["format"]), {}
 
     # Error versus ensemble size at one target direction.
     theta, phi = p["theta"], p["phi"]
-    tau_by_n, lines = {}, []
+    tau_by_n, values = {}, []
     for n in n_list:
         tau = p["tau"] if p["tau"] is not None else _optimal_tau(n)
         tau_by_n[str(n)] = tau
         resource = squeezing_run(n, tau)
-        lines.append(
-            _csv_line((n, theta, phi, *_error_point(resource, theta, phi, k_cut))))
-    text = _render(("n", "theta", "phi", *columns), lines, p["format"])
+        values += (n, *_error_point(resource, theta, phi, k_cut))
+    record = f"%.12g,{theta:.12g},{phi:.12g}" + ",%.12g" * len(columns) + "\n"
+    block = record * len(n_list) % tuple(values)
+    text = _render(("n", "theta", "phi", *columns), [block], p["format"])
     return text, {"tau_by_n": tau_by_n}
 
 
@@ -584,9 +581,9 @@ def _run_fluctuation(p) -> tuple[str, dict]:
             "outcome exceeded the shot's atom number",
             file=sys.stderr,
         )
-    lines = [_csv_line((theta, p["phi"], *row))
-             for theta, row in zip(thetas, spins.tolist())]
-    text = _render(("theta", "phi", "sx", "sy", "sz"), lines, p["format"])
+    values = np.column_stack((thetas, spins)).ravel().tolist()
+    block = f"%.12g,{p['phi']:.12g},%.12g,%.12g,%.12g\n" * len(thetas) % tuple(values)
+    text = _render(("theta", "phi", "sx", "sy", "sz"), [block], p["format"])
     return text, {"skipped_terms": skipped}
 
 

@@ -184,8 +184,9 @@ def wigner_map(
     W has spherical-harmonic degree at most N, so with Gauss-Legendre nodes
     in cos(theta) (at least 2N + 2 of them) and a uniform azimuthal grid on
     [0, 2 pi) (at least 4N + 2 points) its quadrature integrals are exact up
-    to roundoff.  Defaults are 121 x 241, enough for N up to 59.  The node
-    bounds serve those integrals only; the values at the nodes need none.
+    to roundoff.  Defaults are max(121, 2N + 2) x max(241, 4N + 2), the
+    bounds themselves from N = 60 on.  The node bounds serve those
+    integrals only; the values at the nodes need none.
 
     With S^x = V diag(-N, -N + 2, ..., N) V^T and S^y = P S^x P^dagger,
     P = diag((-i)^k), the map is a double Fourier series

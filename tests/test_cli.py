@@ -13,6 +13,7 @@ import pytest
 
 import spinrsp.cli as cli
 import spinrsp.protocol as protocol
+import spinrsp.wigner as wigner
 from oracles import (
     _per_cell_fmt,
     branch_rows,
@@ -89,23 +90,38 @@ class TestValueParsing:
 
     def test_float_formatting(self):
         # The writers format every cell, integers and NaN included, as
-        # f"{x:.12g}"; the per-cell oracle writes None as nan.
+        # f"{x:.12g}", most of them through "%.12g" templates; the per-cell
+        # oracle writes None as nan.
         assert _per_cell_fmt(None) == "nan"
         assert f"{float('nan'):.12g}" == "nan"
         assert f"{-float('nan'):.12g}" == "nan"
         assert f"{np.int64(3):.12g}" == "3"
         assert f"{0.5:.12g}" == "0.5"
         assert f"{math.pi / 2:.12g}" == "1.57079632679"
-        for cell in (True, 7, 123456789, -0.0, 1e-320, float("inf"),
-                     np.float64(2.0 / 3.0), np.float64("nan"), np.float32(0.1)):
+        assert "%.12g" % 10**13 == f"{10**13:.12g}" == "1e+13"
+        for cell in (True, False, 0, 7, -7, 123456789, np.int64(3),
+                     0.0, -0.0, 1e-320, -1e-320, float("inf"), float("-inf"),
+                     float("nan"), -float("nan"), np.float64(2.0 / 3.0),
+                     np.float64("nan"), -np.float64("nan"), np.float32(0.1),
+                     np.float32("inf")):
             assert f"{cell:.12g}" == _per_cell_fmt(cell), cell
+            assert "%.12g" % cell == f"{cell:.12g}", cell
+        # Doubles of either sign with decimal exponents from -320 to 308
+        # (the few past the largest double read inf).
+        rng = np.random.default_rng(20201020)
+        size = 100_000
+        with np.errstate(over="ignore"):
+            sample = (rng.uniform(1.0, 10.0, size) * rng.choice((-1.0, 1.0), size)
+                      * 10.0 ** rng.integers(-320, 308, size, endpoint=True))
+        cells = sample.tolist()
+        assert ["%.12g" % x for x in cells] == [f"{x:.12g}" for x in cells]
 
 
 class TestRendering:
     def test_undefined_cells_in_csv(self):
         resource = DiagonalPairState(2, np.array([0.0, 1.0, 0.0], dtype=complex))
         lines = cli._render(
-            cli._BRANCH_HEADER, cli._branch_lines(resource, [0.0], [0.0], None), "csv"
+            cli._BRANCH_HEADER, cli._branch_blocks(resource, [0.0], [0.0], None), "csv"
         ).splitlines()
         assert lines[1] == "0,0,0,0,nan,nan,nan,nan"
         assert lines[2].startswith("0,0,1,1,")
@@ -113,8 +129,8 @@ class TestRendering:
 
     def test_undefined_cells_in_json(self):
         resource = DiagonalPairState(2, np.array([0.0, 1.0, 0.0], dtype=complex))
-        lines = cli._branch_lines(resource, [0.0], [0.0], None)
-        payload = json.loads(cli._render(cli._BRANCH_HEADER, lines, "json"))
+        blocks = cli._branch_blocks(resource, [0.0], [0.0], None)
+        payload = json.loads(cli._render(cli._BRANCH_HEADER, blocks, "json"))
         assert payload["header"] == ["theta", "phi", "k", "p", "sx", "sy", "sz", "e"]
         assert payload["rows"][0][4:] == [None, None, None, None]
 
@@ -170,26 +186,30 @@ class TestMemoizedRender:
                     for row in branch_rows(resource, theta, phis, p["k"])]
         return cli._BRANCH_HEADER, rows
 
-    def render_both(self, tmp_path, monkeypatch, *args):
-        out = tmp_path / "out.csv"
-        assert run_main(*args, "--out", str(out)) == 0
+    # Each case checks both formats, CSV and JSON, against its oracle.
+    ORACLES = {"csv": per_cell_csv, "json": per_cell_json}
+
+    def render_both(self, tmp_path, monkeypatch, fmt, *args):
+        out = tmp_path / f"out.{fmt}"
+        assert run_main(*args, "--format", fmt, "--out", str(out)) == 0
         ns = cli.build_parser().parse_args([*args, "--out", str(out)])
         header, rows = self.oracle_rows(ns.subcommand, cli._resolve(ns))
-        return out.read_bytes(), per_cell_csv(header, rows).encode("utf-8")
+        return out.read_bytes(), self.ORACLES[fmt](header, rows).encode("utf-8")
 
     @pytest.mark.parametrize("theta", ["0", "0.7", "pi:1"])
     @pytest.mark.parametrize(
         "extra", [(), ("--k", "3"), ("--tau", "0")], ids=["all", "k3", "tau0"]
     )
     def test_spin_sweep(self, tmp_path, monkeypatch, theta, extra):
-        written, oracle = self.render_both(
-            tmp_path, monkeypatch, "spin-sweep", "--n", "30", "--theta", theta,
-            "--phi-nodes", "5", *extra,
-        )
-        assert written == oracle
-        if extra == ("--tau", "0"):
-            # The product resource leaves branches below the probability cut.
-            assert b",nan,nan,nan,nan\n" in written
+        for fmt in self.ORACLES:
+            written, oracle = self.render_both(
+                tmp_path, monkeypatch, fmt, "spin-sweep", "--n", "30",
+                "--theta", theta, "--phi-nodes", "5", *extra,
+            )
+            assert written == oracle, fmt
+            if extra == ("--tau", "0") and fmt == "csv":
+                # The product resource leaves branches below the probability cut.
+                assert b",nan,nan,nan,nan\n" in written
 
     @pytest.mark.parametrize(
         "args",
@@ -207,30 +227,29 @@ class TestMemoizedRender:
     )
     def test_other_subcommands(self, tmp_path, monkeypatch, args):
         both = self.map_both if args[0] == "wigner-map" else self.render_both
-        written, oracle = both(tmp_path, monkeypatch, *args)
-        assert written == oracle
+        for fmt in self.ORACLES:
+            written, oracle = both(tmp_path, monkeypatch, fmt, *args)
+            assert written == oracle, fmt
 
-    @staticmethod
-    def map_both(tmp_path, monkeypatch, *args):
-        """The wigner-map CSV is written by columns, not through _render:
-        compare it with the per-cell oracle on rows built from its map."""
+    def map_both(self, tmp_path, monkeypatch, fmt, *args):
+        """The map's own quadrature grid sets the oracle rows: take the map
+        the run made and compare with the per-cell oracle on its rows."""
         maps = []
-        wigner_map = cli.wigner_map
 
         def spy(*call_args):
-            maps.append(wigner_map(*call_args))
+            maps.append(wigner.wigner_map(*call_args))
             return maps[-1]
 
         monkeypatch.setattr(cli, "wigner_map", spy)
-        out = tmp_path / "out.csv"
-        assert run_main(*args, "--out", str(out)) == 0
+        out = tmp_path / f"out.{fmt}"
+        assert run_main(*args, "--format", fmt, "--out", str(out)) == 0
         (sphere,) = maps
         rows = [
             (theta, phi, float(sphere.values[i, j]))
             for i, theta in enumerate(sphere.theta)
             for j, phi in enumerate(sphere.phi)
         ]
-        oracle = per_cell_csv(("theta", "phi", "w"), rows)
+        oracle = self.ORACLES[fmt](("theta", "phi", "w"), rows)
         return out.read_bytes(), oracle.encode("utf-8")
 
 
@@ -249,10 +268,10 @@ class TestBlockWriter:
         k_sel = n // 2 if case == "k-pinned" else None
         rows = [row for theta in self.THETAS
                 for row in branch_rows(resource, theta, self.PHIS, k_sel)]
-        lines = cli._branch_lines(resource, self.THETAS, self.PHIS, k_sel)
-        csv_text = cli._render(cli._BRANCH_HEADER, lines, "csv")
+        blocks = cli._branch_blocks(resource, self.THETAS, self.PHIS, k_sel)
+        csv_text = cli._render(cli._BRANCH_HEADER, blocks, "csv")
         assert csv_text == per_cell_csv(cli._BRANCH_HEADER, rows)
-        json_text = cli._render(cli._BRANCH_HEADER, lines, "json")
+        json_text = cli._render(cli._BRANCH_HEADER, blocks, "json")
         assert json_text == per_cell_json(cli._BRANCH_HEADER, rows)
         if case == "tau0":
             # |N>|N> leaves most branches below the probability cut.
@@ -622,13 +641,13 @@ class TestPhiAsBobRotation:
     @pytest.mark.parametrize("k_sel", [None, 0, 9])
     def test_branch_rows_match_per_point_protocol(self, resource, k_sel):
         for theta in self.THETAS:
-            (ks, probs, szs, errors), turns = cli._branch_columns(
+            (ks, probs, szs, errors), turned = cli._branch_columns(
                 resource, theta, self.PHIS, k_sel
             )
             rows = [
                 (theta, phi, k, prob, *(None if math.isnan(e) else v
                                         for v in (x, y, z, e)))
-                for phi, sx, sy in turns
+                for phi, sx, sy in zip(self.PHIS, *turned)
                 for k, prob, x, y, z, e in zip(ks, probs, sx, sy, szs, errors)
             ]
             expected = [
