@@ -281,7 +281,7 @@ def _resolve(ns: argparse.Namespace) -> dict[str, object]:
 
 
 def _json_ready(value):
-    """Round floats to 12 significant digits; map undefined cells to null."""
+    """Manifest values for JSON: floats to 12 significant digits, nan as null."""
     if value is None:
         return None
     if isinstance(value, (bool, str, int, np.integer)):
@@ -314,9 +314,9 @@ def _render(header: Sequence[str], blocks: Sequence[str], fmt: str) -> str:
     if fmt == "csv":
         return "".join([",".join(header) + "\n", *blocks])
     kinds = [int if name in ("n", "k") else float for name in header]
-    rows = [[kind(c) for kind, c in zip(kinds, line.split(","))]
+    rows = [[None if c == "nan" else kind(c) for kind, c in zip(kinds, line.split(","))]
             for line in "".join(blocks).splitlines()]
-    payload = {"header": list(header), "rows": _json_ready(rows)}
+    payload = {"header": list(header), "rows": rows}
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -637,6 +637,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except SpinRspError as exc:
         print(f"{ns.subcommand}: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # an N whose arrays do not fit
+        print(f"{ns.subcommand}: out of memory: {exc}", file=sys.stderr)
         return 4
     return 0
 

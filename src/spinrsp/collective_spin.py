@@ -15,9 +15,9 @@ so that [S^j, S^k] = 2i eps_{jkl} S^l.  Rotations from the north pole are
 
 The y-rotation matrix comes from the eigenbasis of S^x, which is real
 tridiagonal; single rotated columns keep the closed form (Jacobi
-polynomials) for its relative accuracy in the tails.  Every tridiagonal
-eigenproblem of the package goes through one solver here, which stays in
-numpy up to N = 200 and loads scipy only for larger matrices.
+polynomials) for its relative accuracy in the tails.  Its eigenvectors, like
+the Clebsch-Gordan table of :mod:`spinrsp.wigner`, are walked down their
+recurrence, so the package's one eigensolver serves the 2A2S Hamiltonian.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "EnsembleState",
@@ -127,40 +127,32 @@ def _y_rotation_exponents(n: int, kp, k):
     return k0, a, b, 0.5 * (log_c1 - log_c2), sign
 
 
-# Largest matrix solved densely by numpy, N = 200.  Up to here numpy's eigh
-# gives the same bits as scipy's eigh_tridiagonal on the package's matrices
-# (eigenvectors Fortran-ordered; numpy 2.4 and scipy 1.17 wheels, pinned by
-# test_collective.py's TestEigensolverRoutes), and it spares a CLI run the
-# import of scipy.linalg, about 0.3 s on a 2-vCPU host, more than a typical
-# run's work.
-_DENSE_EIGH_MAX = 201
+def _edge_walk(diag, off, lam, parity) -> np.ndarray:
+    """Unit eigenvectors, one row per eigenvalue in ``lam``, of the real
+    symmetric tridiagonal with ``diag`` and positive ``off`` that is
+    persymmetric (diag[k] = diag[N-k], off[k] = off[N-1-k]).
 
-
-def _tridiagonal_eigh(diag, off, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, eigenvectors as Fortran-ordered columns) of
-    the real symmetric tridiagonal matrix with ``diag`` and ``off``; both
-    arrays are writable.
-
-    The package's one eigensolver, with two LAPACK routes chosen by size.
-    Up to ``_DENSE_EIGH_MAX`` rows it runs ``np.linalg.eigh`` on the dense
-    matrix, so that a CLI run at those sizes never imports scipy.linalg.
-    For S^x, the 2A2S Hamiltonian and J^2 on M = 0 this gives the same bits
-    as ``scipy.linalg.eigh_tridiagonal`` at every such size, provided the
-    eigenvectors keep its column-major layout, which the BLAS products
-    downstream read.  Larger matrices import and run ``eigh_tridiagonal``:
-    there the two routes part in the last bit, and its O(N^2) solve beats
-    the dense O(N^3) one.  Either way a LAPACK failure raises
-    :class:`NumericalError` naming ``what`` was being solved.
+    Each row follows the three-term recurrence from v_N to the centre, its
+    stable direction (the solution grows away from the edge), and takes the
+    other half from v_{N-k} = parity * v_k; an antisymmetric row of even N
+    is exactly zero at the centre.  Rows are normalized with v_N > 0.
     """
-    try:
-        if len(diag) <= _DENSE_EIGH_MAX:
-            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            evals, evecs = np.linalg.eigh(dense)
-            return evals, np.asfortranarray(evecs)
-        from scipy.linalg import eigh_tridiagonal  # here, off the CLI's import time
-        return eigh_tridiagonal(diag, off)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"tridiagonal eigensolver failed for {what}") from exc
+    n = len(diag) - 1
+    lo = (n + 1) // 2
+    walk = np.zeros((n + 2, len(lam)))  # walk[k] holds every row's v_k; v_{N+1} = 0
+    walk[n] = 1.0
+    off = np.append(off, 0.0)
+    for i in range(n, lo, -1):
+        walk[i - 1] = ((lam - diag[i]) * walk[i] - off[i] * walk[i + 1]) / off[i - 1]
+        # Exact power-of-two rescaling; the squares stay far from overflow.
+        big = np.abs(walk[i - 1]) > 2.0**256
+        if big.any():
+            walk[i - 1 :, big] *= 2.0**-256
+    walk = walk[: n + 1]
+    if n % 2 == 0:
+        walk[lo, parity < 0] = 0.0
+    walk[:lo] = parity * walk[n : n - lo : -1]
+    return (walk / np.linalg.norm(walk, axis=0)).T
 
 
 def _z_phases(n_atoms: int, angle) -> np.ndarray:
@@ -173,13 +165,12 @@ def _z_phases(n_atoms: int, angle) -> np.ndarray:
 # One entry: a run uses one N, and each size of --n-list once.
 @lru_cache(maxsize=1)
 def _sx_eigenvectors(n_atoms: int) -> np.ndarray:
-    """Eigenvectors of the real tridiagonal S^x, ordered by eigenvalue.
-
-    The eigenvalues are those of S^z, -N, -N + 2, ..., N, in ascending order.
-    """
-    k = np.arange(n_atoms)
-    off = np.sqrt((k + 1.0) * (n_atoms - k))
-    _, vecs = _tridiagonal_eigh(np.zeros(n_atoms + 1), off, f"S^x at N={n_atoms}")
+    """Eigenvectors of the real tridiagonal S^x as columns, column a with
+    eigenvalue 2a - N: Krawtchouk functions, walked from the edge."""
+    k = np.arange(n_atoms + 1)
+    off = np.sqrt((k[:-1] + 1.0) * (n_atoms - k[:-1]))
+    parity = np.where((n_atoms - k) % 2, -1.0, 1.0)
+    vecs = _edge_walk(np.zeros(n_atoms + 1), off, 2.0 * k - n_atoms, parity).T
     vecs.setflags(write=False)
     return vecs
 

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .collective_spin import _checked_amplitudes, _tridiagonal_eigh, _z_phases
-from .errors import DomainError, SearchFailureError
+from .collective_spin import _checked_amplitudes, _z_phases
+from .errors import DomainError, NumericalError, SearchFailureError
 
 __all__ = [
     "DiagonalPairState",
@@ -67,6 +67,12 @@ class VarianceTriple:
     var_zm: float  # Var(S^z_A - S^z_B)
 
 
+# Largest matrix solved densely by numpy, N = 200: there numpy's eigh gives
+# the bits of scipy's eigh_tridiagonal (pinned by test_collective.py's
+# TestEigensolverRoutes) and spares a CLI run the 0.3 s scipy.linalg import.
+_DENSE_EIGH_MAX = 201
+
+
 # One entry: only (N, N) is shared, by find_optimal_time and then the resource.
 @lru_cache(maxsize=1)
 def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,13 +82,24 @@ def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     The couplings are (d+1) sqrt((N_A - d)(N_B - d)).  At N_A = N_B = N
     they are the integers (d+1)(N-d), symmetric under d -> N-1-d, so the
     same matrix serves the resource's labels k = N - d.
+    The package's one eigensolve: dense ``np.linalg.eigh`` up to
+    ``_DENSE_EIGH_MAX`` rows (eigenvectors Fortran-ordered, as
+    ``scipy.linalg.eigh_tridiagonal`` gives them), the O(N^2)
+    ``eigh_tridiagonal`` above; a LAPACK failure is a NumericalError.
     """
     dmin = min(n_a, n_b)
     d = np.arange(dmin)
     off = (d + 1.0) * np.sqrt((n_a - d) * (n_b - d))
-    evals, evecs = _tridiagonal_eigh(
-        np.zeros(dmin + 1), off, f"the 2A2S Hamiltonian at sizes ({n_a}, {n_b})"
-    )
+    try:
+        if dmin < _DENSE_EIGH_MAX:
+            evals, evecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+            evecs = np.asfortranarray(evecs)
+        else:
+            from scipy.linalg import eigh_tridiagonal  # here, off the CLI's import time
+            evals, evecs = eigh_tridiagonal(np.zeros(dmin + 1), off)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("tridiagonal eigensolver failed for the 2A2S "
+                             f"Hamiltonian at sizes ({n_a}, {n_b})") from exc
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs

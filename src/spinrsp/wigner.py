@@ -8,8 +8,9 @@ Stratonovich kernel, which is diagonal in the rotated Fock basis:
 
 with U the rotation of :mod:`spinrsp.collective_spin` and the weights Delta_k
 from one table of Clebsch-Gordan coefficients (Agarwal, PRA 24, 2889
-(1981); Koczor, Zeier & Glaser, PRA 102, 062421 (2020)).  Negative regions
-of the map witness non-classicality of the prepared state.
+(1981); Koczor, Zeier & Glaser, PRA 102, 062421 (2020)), walked down its
+recurrence like the S^x eigenvectors: no eigensolver runs for a map.
+Negative regions of the map witness non-classicality of the prepared state.
 
 The map never builds U.  In the eigenbasis of S^x, whose spectrum
 -N, -N + 2, ..., N is equally spaced, theta enters only as the phases
@@ -28,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .collective_spin import (EnsembleState, _sx_eigenvectors, _tridiagonal_eigh,
-                              _z_phases)
+from .collective_spin import EnsembleState, _edge_walk, _sx_eigenvectors, _z_phases
 from .errors import DomainError
 
 __all__ = ["SphereMap", "wigner_map"]
@@ -95,34 +95,19 @@ def _wigner_3j_doubled(
 def _m0_clebsch_gordan(n_atoms: int) -> np.ndarray:
     """T0[L, k] = <j m; j -m | L 0> with j = N/2, m = k - N/2, L, k = 0..N.
 
-    The rows are the eigenvectors of J^2 on the M = 0 subspace of j x j, a
-    real tridiagonal with diagonal 2j(j+1) - 2m^2 and off-diagonal
-    (k+1)(N-k); sorted by eigenvalue, row L has eigenvalue L(L+1).  The
-    Condon-Shortley sign makes T0[L, N] positive, but that entry lies far
-    below the eigenvectors' absolute accuracy at large L.  So each row is
-    also walked down the three-term recurrence from v_N = 1 (the growing
-    direction across the tail, rescaled at each step), and takes the
-    walk's sign at the row's largest entry.
+    Row L is the eigenvector of J^2 on the M = 0 subspace of j x j with
+    eigenvalue L(L+1), a real persymmetric tridiagonal with diagonal
+    2j(j+1) - 2m^2 and off-diagonal (k+1)(N-k), and is (-1)^(N-L)-symmetric
+    under m -> -m.  So each row is walked from the edge, where the
+    Condon-Shortley sign makes T0[L, N] positive (Schulten & Gordon,
+    J. Math. Phys. 16, 1961 (1975)).
     """
     n = n_atoms
     k = np.arange(n + 1)
     diag = 0.5 * n * (n + 2.0) - 0.5 * (2.0 * k - n) ** 2
     off = (k[:-1] + 1.0) * (n - k[:-1])
-    _, vecs = _tridiagonal_eigh(diag, off, f"J^2 on M = 0 at N={n}")
-    table = vecs.T
-    lam = k * (k + 1.0)
-    walk = np.zeros((n + 1, n + 1))
-    walk[:, n] = 1.0
-    if n:
-        walk[:, n - 1] = (lam - diag[n]) / off[n - 1]
-    for i in range(n - 1, 0, -1):
-        below = ((lam - diag[i]) * walk[:, i] - off[i] * walk[:, i + 1]) / off[i - 1]
-        scale = np.maximum(np.abs(below), np.abs(walk[:, i]))
-        walk[:, i - 1] = below / scale
-        walk[:, i] /= scale
-    peak = np.argmax(np.abs(table), axis=1)
-    flip = np.sign(table[k, peak]) != np.sign(walk[k, peak])
-    table[flip] *= -1.0
+    parity = np.where((n - k) % 2, -1.0, 1.0)
+    table = _edge_walk(diag, off, k * (k + 1.0), parity)
     table.setflags(write=False)
     return table
 

@@ -17,8 +17,10 @@ Everything here is built by a different route than the library code:
 - the Wigner map of any spin-j density matrix (mixed states included)
   from its multipoles: Racah-sum 3j tables per rank and one harmonics
   table, the route the library's pure-state map replaced;
-- single Wigner values in mpmath from the Stratonovich kernel, with
-  sympy's exact Clebsch-Gordan coefficients;
+- single Wigner values and whole grids in mpmath from the Stratonovich
+  kernel, with sympy's exact Clebsch-Gordan coefficients, and every
+  protocol branch of a given resource (probability, state, error) in
+  mpmath from the literal rotation sum;
 - the optimal squeezing time from the argmax of the whole 1e-3 scan grid;
 - sweep rows one tuple per record, from the branch arrays of
   ``branch_statistics`` read one branch at a time, and CSV and JSON text
@@ -77,6 +79,7 @@ from spinrsp.squeezing import (
 from spinrsp.wigner import (
     SphereMap,
     _kernel_weights,
+    _m0_clebsch_gordan,
     _quadrature_grid,
     _wigner_3j_doubled,
 )
@@ -682,33 +685,131 @@ def sphere_minimum(sphere: SphereMap) -> tuple[float, float, float]:
 
 
 def mpmath_wigner_value(amplitudes, theta: float, phi: float) -> float:
-    """W(theta, phi) of a pure state from the Stratonovich kernel in mpmath.
+    """W(theta, phi) of a pure state from the Stratonovich kernel in mpmath:
+    :func:`mpmath_wigner_grid` at one point."""
+    return mpmath_wigner_grid(amplitudes, [theta], [phi])[0][0]
+
+
+def mpmath_wigner_grid(amplitudes, thetas, phis) -> list[list[float]]:
+    """W on every (theta, phi) pair of the two lists, from the Stratonovich
+    kernel in mpmath.
 
     Works at dps N/3 + 40: D by the literal alternating sum, Delta_k from
-    sympy's exact Clebsch-Gordan coefficients, and the amplitudes and angles
-    taken as the given doubles.
+    sympy's exact Clebsch-Gordan coefficients, and the angles taken as the
+    given doubles; ``amplitudes`` may be doubles or mpmath numbers.
     """
     n = len(amplitudes) - 1
-    j = Rational(n, 2)
+    deltas = mpmath_kernel_weights(n)
     with mpmath.workdps(n // 3 + 40):
-        half = mpmath.mpf(theta) / 2
-        phases = [mpmath.expj(mpmath.mpf(phi) * (2 * kp - n) / 2)
-                  for kp in range(n + 1)]
-        psi = [mpmath.mpc(complex(a)) for a in amplitudes]
-        total = mpmath.mpf(0)
+        psi = [mpmath.mpmathify(a) for a in amplitudes]
+        rows = []
+        for theta in thetas:
+            d = _mpmath_rotation(n, theta)
+            row = []
+            for phi in phis:
+                turned = [mpmath.expj(mpmath.mpf(phi) * (2 * kp - n) / 2) * psi[kp]
+                          for kp in range(n + 1)]
+                amps = [sum(d[kp][k] * turned[kp] for kp in range(n + 1))
+                        for k in range(n + 1)]
+                row.append(float(sum(w * abs(a) ** 2 for w, a in zip(deltas, amps))))
+            rows.append(row)
+        return rows
+
+
+@lru_cache(maxsize=None)
+def mpmath_kernel_weights(n: int) -> tuple:
+    """Delta_k, k = 0..N, summed in mpmath at dps N/3 + 40 from sympy's
+    exact Clebsch-Gordan coefficients."""
+    j = Rational(n, 2)
+    weights = []
+    with mpmath.workdps(n // 3 + 40):
         for k in range(n + 1):
             m = Rational(2 * k - n, 2)
-            delta = sum(
+            total = sum(
                 mpmath.sqrt(2 * big_l + 1)
                 * mpmath.mpf(sympy_cg(j, j, big_l, m, -m, 0).evalf(mpmath.mp.dps + 5))
                 for big_l in range(n + 1)
-            ) * (-1) ** (n - k) / mpmath.sqrt(4 * mpmath.pi)
-            amp = sum(
-                _mpmath_rotation_sum(n, kp, k, half) * phases[kp] * psi[kp]
-                for kp in range(n + 1)
             )
-            total += delta * abs(amp) ** 2
-        return float(total)
+            weights.append(total * (-1) ** (n - k) / mpmath.sqrt(4 * mpmath.pi))
+    return tuple(weights)
+
+
+def _mpmath_rotation(n: int, theta: float) -> list[list]:
+    """D(theta) at the working precision, as rows of mpf elements."""
+    half = mpmath.mpf(theta) / 2
+    return [[_mpmath_rotation_sum(n, kp, k, half) for k in range(n + 1)]
+            for kp in range(n + 1)]
+
+
+def mpmath_branches(psi, theta: float, phi: float):
+    """Every branch of one protocol round in mpmath, the resource ``psi``
+    taken as exact input: (P_k, Bob's normalized branch state, error_k) per
+    k, the state and error None below the library's 1e-14 cut.
+
+    Bob's branch k is sum_k' psi_k' exp(i m' (pi - phi)/2) D[k', k] |k'>,
+    m' = 2k' - N, turned by exp(-i S^z pi/2) for k < N/2; its error is
+    |<S> - <S>_ideal| / 2N with the ideal outcome of ``branch_statistics``.
+    Works at dps N/3 + 40.
+    """
+    n = len(psi) - 1
+    out = []
+    with mpmath.workdps(n // 3 + 40):
+        d = _mpmath_rotation(n, theta)
+        alice = mpmath.pi - mpmath.mpf(phi)
+        sin_t, cos_t = mpmath.sin(mpmath.mpf(theta)), mpmath.cos(mpmath.mpf(theta))
+        for k in range(n + 1):
+            turn = -mpmath.pi if k < n / 2 else 0
+            amps = [mpmath.mpmathify(psi[kp]) * d[kp][k]
+                    * mpmath.expj((alice + turn) * (2 * kp - n) / 2)
+                    for kp in range(n + 1)]
+            prob = sum(abs(a) ** 2 for a in amps)
+            if prob < 1e-14:
+                out.append((prob, None, None))
+                continue
+            amps = [a / mpmath.sqrt(prob) for a in amps]
+            s_plus = sum(mpmath.sqrt((kp + 1) * (n - kp)) * mpmath.conj(amps[kp + 1])
+                         * amps[kp] for kp in range(n))
+            s_z = sum((2 * kp - n) * abs(a) ** 2 for kp, a in enumerate(amps))
+            m = 2 * k - n
+            ideal = (abs(m) * sin_t * mpmath.cos(mpmath.mpf(phi)),
+                     abs(m) * sin_t * mpmath.sin(mpmath.mpf(phi)), m * cos_t)
+            spins = (2 * s_plus.real, 2 * s_plus.imag, s_z)
+            error = mpmath.sqrt(sum((a - b) ** 2 for a, b in zip(spins, ideal)))
+            error /= 2 * n
+            out.append((prob, amps, error))
+    return out
+
+
+def mpmath_error_point(psi, theta: float, k_cut: int) -> tuple[float, float, float]:
+    """(average error, post-selected error, kept probability) at phi = 0
+    from :func:`mpmath_branches`, as ``error-sweep`` reports them."""
+    n = len(psi) - 1
+    branches = mpmath_branches(psi, theta, 0.0)
+    with mpmath.workdps(n // 3 + 40):
+        weighted = [(k, p * e) for k, (p, _, e) in enumerate(branches) if e is not None]
+        kept = [k for k in range(n + 1) if k <= k_cut or k >= n - k_cut]
+        keep_p = sum(branches[k][0] for k in kept if branches[k][2] is not None)
+        post = sum(w for k, w in weighted if k in kept) / keep_p
+        return float(sum(w for _, w in weighted)), float(post), float(keep_p)
+
+
+def eigensolved_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S^x eigenvectors as Fortran-ordered columns, M = 0 Clebsch-Gordan
+    table) from LAPACK's dense eigensolver, the counterparts of the
+    library's walked ``_sx_eigenvectors`` and ``_m0_clebsch_gordan``.
+
+    Each table row takes the sign of the library's row, since the
+    Condon-Shortley entry T0[L, N] lies below the eigenvectors' absolute
+    accuracy at large L.
+    """
+    k = np.arange(n + 1)
+    sx_off = np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
+    j2_off = (k[:-1] + 1.0) * (n - k[:-1])
+    j2 = np.diag(0.5 * n * (n + 2.0) - 0.5 * (2.0 * k - n) ** 2)
+    vecs = np.linalg.eigh(np.diag(sx_off, 1) + np.diag(sx_off, -1))[1]
+    table = np.linalg.eigh(j2 + np.diag(j2_off, 1) + np.diag(j2_off, -1))[1].T.copy()
+    table *= np.sign(np.sum(table * _m0_clebsch_gordan(n), axis=1))[:, None]
+    return np.asfortranarray(vecs), table
 
 
 # --- dense operators and helpers used only by tests ------------------------

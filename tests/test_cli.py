@@ -1,5 +1,6 @@
 """Command-line driver: parsing, schemas, determinism, exit codes."""
 
+import functools
 import hashlib
 import json
 import math
@@ -17,14 +18,19 @@ import spinrsp.wigner as wigner
 from oracles import (
     _per_cell_fmt,
     branch_rows,
+    eigensolved_tables,
     error_point,
     error_rows,
     loop_average_error,
     loop_postselected_error,
+    mpmath_branches,
+    mpmath_error_point,
+    mpmath_wigner_grid,
     per_branch_protocol,
     per_cell_csv,
     per_cell_json,
 )
+from spinrsp import collective_spin
 from spinrsp.collective_spin import EnsembleState, RotationSpec
 from spinrsp.protocol import (
     FluctuationSpec,
@@ -38,9 +44,9 @@ def run_main(*args) -> int:
     return cli.main(list(args))
 
 
-def run_process(*args, argv=("-m", "spinrsp.cli")):
+def run_process(*args, argv=("-m", "spinrsp.cli"), **kwargs):
     """Run the CLI (or other ``argv``) in a child interpreter that imports
-    this same package."""
+    this same package; ``kwargs`` go to ``subprocess.run``."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -49,6 +55,7 @@ def run_process(*args, argv=("-m", "spinrsp.cli")):
         capture_output=True,
         text=True,
         env=env,
+        **kwargs,
     )
 
 
@@ -312,6 +319,19 @@ class TestImport:
                            argv=("-c", script))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[0, 0]", "[]"]
+
+    def test_map_above_n200_leaves_out_scipy_linalg(self, tmp_path):
+        # The S^x eigenvectors and the Clebsch-Gordan table are walked at
+        # every N; only the squeezed resource needs a LAPACK eigensolve.
+        script = (
+            "import sys, spinrsp.cli as cli\n"
+            "print(cli.main(['wigner-map', '--resource', 'epr', '--n', '300',\n"
+            "                '--theta', '1', '--k', '150', '--out', sys.argv[1]]))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = run_process(str(tmp_path / "map.csv"), argv=("-c", script))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0", "False"]
 
 
 class TestDefaultTauAtLargeN:
@@ -1096,6 +1116,24 @@ class TestExitCodes:
         assert not (tmp_path / "ss.csv.manifest.json").exists()
         assert "eigensolver failed" in capsys.readouterr().err
 
+    def test_out_of_memory_is_exit_4(self, tmp_path):
+        # (N + 1)^2 doubles at N = 10^6 are 7.28 TiB: the allocation is
+        # refused at once.  The child's address space is capped besides, so
+        # the run can never fill memory.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        out = tmp_path / "opt.json"
+        proc = run_process("optimal-time", "--n", "1000000", "--out", str(out),
+                           preexec_fn=cap)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("optimal-time: out of memory: ")
+        assert "Unable to allocate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output(self, tmp_path):
         code = run_main(
             "prob-dist", "--n", "3", "--theta", "0.5",
@@ -1212,3 +1250,70 @@ class TestGoldenFixtures:
         out = tmp_path / fixture
         assert run_main(*args, "--out", str(out)) == 0
         assert out.read_bytes() == golden.read_bytes()
+
+
+class TestRecordedCellsAgainstMpmath:
+    """The error-grid and wigner-map fixtures are recorded with the walked
+    S^x eigenvectors and Clebsch-Gordan table.  Against the same runs on
+    LAPACK-eigensolved tables, their changed cells are no further from
+    mpmath, the resource psi taken as exact input: neither the largest
+    error nor the RMS error over those cells grows."""
+
+    @staticmethod
+    def changed_cells(monkeypatch, tmp_path, fixture, args):
+        """(line, column, walked value, eigensolved value) of every data
+        cell in which the two runs differ; the walked run is the fixture."""
+        tables = functools.cache(eigensolved_tables)
+        monkeypatch.setattr(collective_spin, "_sx_eigenvectors", lambda n: tables(n)[0])
+        monkeypatch.setattr(wigner, "_sx_eigenvectors", lambda n: tables(n)[0])
+        monkeypatch.setattr(wigner, "_m0_clebsch_gordan", lambda n: tables(n)[1])
+        wigner._kernel_weights.cache_clear()
+        out = tmp_path / fixture
+        try:
+            assert run_main(*args, "--out", str(out)) == 0
+        finally:
+            monkeypatch.undo()
+            wigner._kernel_weights.cache_clear()
+        golden = pathlib.Path(__file__).parent / "fixtures" / fixture
+        walked = [line.split(",") for line in golden.read_text().splitlines()[1:]]
+        solved = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        return [(i, c, float(new), float(old))
+                for i, (new_row, old_row) in enumerate(zip(walked, solved))
+                for c, (new, old) in enumerate(zip(new_row, old_row)) if new != old]
+
+    @staticmethod
+    def assert_no_worse(cells, exact):
+        new = np.array([abs(value - exact(i, c)) for i, c, value, _ in cells])
+        old = np.array([abs(value - exact(i, c)) for i, c, _, value in cells])
+        assert len(cells) > 0
+        assert new.max() <= old.max()
+        assert np.sqrt(np.mean(new**2)) <= np.sqrt(np.mean(old**2))
+
+    def test_error_grid(self, monkeypatch, tmp_path):
+        # Measured: 6 cells, max 2.5e-17 -> 1.1e-34, RMS 1.8e-17 -> 7.6e-35.
+        cells = self.changed_cells(monkeypatch, tmp_path, "error_grid_n12_kcut1.csv", [
+            "error-sweep", "--n", "12", "--k-cut", "1", "--theta-nodes", "7",
+            "--phi-nodes", "3"])
+        psi = squeezing_run(12, cli._optimal_tau(12)).psi
+        thetas = np.linspace(0.0, math.pi, 7)
+        points = {}
+
+        def exact(i, c):
+            # Columns theta, phi, e, e_ps, keep_p; three phi rows per theta.
+            if i // 3 not in points:
+                points[i // 3] = mpmath_error_point(psi, thetas[i // 3], 1)
+            return points[i // 3][c - 2]
+
+        self.assert_no_worse(cells, exact)
+
+    def test_wigner_map(self, monkeypatch, tmp_path):
+        # Measured: 300 cells, max 6.3e-15 -> 5.1e-15, RMS 1.7e-15 -> 1.1e-15.
+        cells = self.changed_cells(monkeypatch, tmp_path, "wigner_map_n10_k9.csv", [
+            "wigner-map", "--n", "10", "--theta", "0.5", "--k", "9",
+            "--theta-nodes", "22", "--phi-nodes", "42"])
+        psi = squeezing_run(10, cli._optimal_tau(10)).psi
+        state = mpmath_branches(psi, 0.5, 0.0)[9][1]
+        theta, phi = wigner._quadrature_grid(10, 22, 42)
+        rows = sorted({i // len(phi) for i, *_ in cells})
+        values = dict(zip(rows, mpmath_wigner_grid(state, theta[rows], phi)))
+        self.assert_no_worse(cells, lambda i, c: values[i // len(phi)][i % len(phi)])

@@ -23,7 +23,7 @@ from oracles import (
 from spinrsp.collective_spin import (
     EnsembleState,
     RotationSpec,
-    _tridiagonal_eigh,
+    _sx_eigenvectors,
     rotation_log_column,
     y_rotation_matrix,
 )
@@ -232,6 +232,30 @@ class TestRotationMatrix:
             assert np.max(np.abs(y_rotation_matrix(n, theta) - closed)) <= 1e-13
 
 
+class TestSxEigenvectors:
+    """The S^x eigenvectors walked from the edge: column a has eigenvalue
+    2a - N and v_N > 0, and the columns are orthonormal to rounding."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 61, 200])
+    def test_eigenpairs(self, n):
+        vecs = _sx_eigenvectors(n)
+        k = np.arange(n + 1)
+        off = np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
+        sx = np.diag(off, 1) + np.diag(off, -1)
+        residual = sx @ vecs - vecs * (2.0 * k - n)
+        assert np.max(np.abs(residual)) <= 64 * n * np.finfo(float).eps
+        assert np.all(vecs[n] > 0.0)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(n + 1))) <= 1e-14
+
+    def test_orthonormal_at_n3000(self):
+        # Rows are rescaled by exact powers of two, so the walk neither
+        # drifts (measured 1.5e-14 here) nor overflows in the norm; a
+        # RuntimeWarning fails the suite.
+        vecs = _sx_eigenvectors(3000)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(3001))) <= 1e-13
+        _sx_eigenvectors.cache_clear()
+
+
 class TestRotatedFockState:
     def test_no_rotation_top_state(self):
         state = rotated_fock_state(5, 5, RotationSpec(0.0, 3.0))
@@ -311,53 +335,44 @@ class TestApplyOperatorAndExpectations:
 
 
 class TestEigensolverFailure:
-    """The three tridiagonal eigenproblems (S^x, the 2A2S Hamiltonian and
-    J^2 on M = 0) share one solver, which reports a LAPACK failure as a
-    NumericalError naming the matrix and its size."""
+    """The package's one eigensolve, of the 2A2S Hamiltonian, reports a
+    LAPACK failure as a NumericalError naming the matrix and its size; the
+    S^x eigenvectors and the Clebsch-Gordan table need no eigensolver."""
 
     @pytest.mark.parametrize("solve,names", [
-        (lambda: y_rotation_matrix(7, 0.4), "S^x at N=7"),
         (lambda: _eigensystem(7, 5), "2A2S Hamiltonian at sizes (7, 5)"),
-        (lambda: _kernel_weights(7), "J^2 on M = 0 at N=7"),
         # Above the dense bound: the scipy route maps its failure the same way.
-        (lambda: y_rotation_matrix(201, 0.4), "S^x at N=201"),
-    ], ids=["sx", "2a2s", "j2", "sx-n201"])
+        (lambda: _eigensystem(201, 201), "2A2S Hamiltonian at sizes (201, 201)"),
+    ], ids=["2a2s", "2a2s-n201"])
     def test_failure_is_numerical_error(self, failing_eigensolver, solve, names):
         with pytest.raises(NumericalError, match="eigensolver failed") as info:
             solve()
         assert names in str(info.value)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
+    def test_walked_tables_need_no_eigensolver(self, failing_eigensolver):
+        _sx_eigenvectors.cache_clear()
+        _kernel_weights.cache_clear()
+        d = y_rotation_matrix(201, 0.4)
+        np.testing.assert_allclose(d @ d.T, np.eye(202), rtol=0.0, atol=1e-13)
+        assert np.all(np.isfinite(_kernel_weights(7)))
+
 
 class TestEigensolverRoutes:
-    """Up to 201 rows (N = 200) the solver runs numpy's dense eigh instead
-    of scipy's eigh_tridiagonal, which keeps scipy.linalg off the CLI's
-    import path.  That is only safe while both give the same bits, layout
-    included, on every matrix the package solves."""
-
-    @staticmethod
-    def families(n_a, n_b):
-        """(name, diag, off) of S^x at N_A, the 2A2S Hamiltonian at
-        (N_A, N_B) and J^2 on M = 0 at N_A, built as the library builds them."""
-        k = np.arange(n_a + 1)
-        d = np.arange(min(n_a, n_b))
-        return [
-            ("sx", np.zeros(n_a + 1), np.sqrt((k[:-1] + 1.0) * (n_a - k[:-1]))),
-            ("2a2s", np.zeros(len(d) + 1),
-             (d + 1.0) * np.sqrt((n_a - d) * (n_b - d))),
-            ("j2", 0.5 * n_a * (n_a + 2.0) - 0.5 * (2.0 * k - n_a) ** 2,
-             (k[:-1] + 1.0) * (n_a - k[:-1])),
-        ]
+    """Up to 201 rows (N = 200) the 2A2S Hamiltonian is solved by numpy's
+    dense eigh instead of scipy's eigh_tridiagonal, which keeps
+    scipy.linalg off the CLI's import path.  That is only safe while both
+    give the same bits, layout included."""
 
     @pytest.mark.parametrize("n_a,n_b", [
         (1, 1), (2, 2), (3, 3), (10, 10), (60, 60), (199, 199), (200, 200),
         (7, 5), (40, 33), (120, 200), (200, 150),
     ])
     def test_dense_route_matches_eigh_tridiagonal_bitwise(self, n_a, n_b):
-        for name, diag, off in self.families(n_a, n_b):
-            evals, evecs = _tridiagonal_eigh(diag.copy(), off.copy(), name)
-            ref_vals, ref_vecs = eigh_tridiagonal(diag, off)
-            assert np.array_equal(evals, ref_vals), name
-            assert np.array_equal(evecs, ref_vecs), name
-            assert evecs.flags.f_contiguous == ref_vecs.flags.f_contiguous, name
-            assert evals.flags.writeable and evecs.flags.writeable, name
+        d = np.arange(min(n_a, n_b))
+        off = (d + 1.0) * np.sqrt((n_a - d) * (n_b - d))
+        evals, evecs = _eigensystem(n_a, n_b)
+        ref_vals, ref_vecs = eigh_tridiagonal(np.zeros(len(d) + 1), off)
+        assert np.array_equal(evals, ref_vals)
+        assert np.array_equal(evecs, ref_vecs)
+        assert evecs.flags.f_contiguous == ref_vecs.flags.f_contiguous

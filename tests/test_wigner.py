@@ -17,6 +17,7 @@ from oracles import (
     angular_state_from_ensemble,
     loop_field_from_multipoles,
     loop_multipole_decomposition,
+    mpmath_kernel_weights,
     mpmath_wigner_value,
     multipole_decomposition,
     multipole_wigner_map,
@@ -535,6 +536,13 @@ class TestClebschGordanTable:
         # against the exact sum, where the weights are within 1.3e-14.
         np.testing.assert_allclose(_kernel_weights(n), expected, rtol=0.0, atol=5e-13)
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_kernel_weights_match_mpmath_sum(self, n):
+        # Measured: 4.4e-16 and 1.1e-15; 1.3e-14 and 2.0e-14 from
+        # LAPACK-eigensolved tables.
+        exact = [float(w) for w in mpmath_kernel_weights(n)]
+        np.testing.assert_allclose(_kernel_weights(n), exact, rtol=0.0, atol=3e-15)
+
     @pytest.mark.parametrize("n", [5, 10, 20])
     def test_kernel_weights_match_exact_sum(self, n):
         j = Rational(n, 2)
@@ -613,6 +621,25 @@ class TestMpmathReference:
             multipole_err = max(multipole_err, abs(multipoles.values[i, j] - ref))
         assert kernel_err <= multipole_err
         assert kernel_err < 8 * n * np.finfo(float).eps
+
+    def test_kernel_at_n40(self):
+        # Measured: max 5.1e-15, RMS 1.5e-15; 7.5e-15 and 3.0e-15 from
+        # LAPACK-eigensolved tables, and 4.7e-15 and 1.4e-15 from exactly
+        # rounded ones, so the rest is the series' rounding where W ~ 1.5.
+        n = 40
+        resource = squeezing_run(n, find_optimal_time(n)[0])
+        state = branch_state(resource, RotationSpec(0.5, 0.0), n - 1)
+        sphere = wigner_map(state)
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, len(sphere.theta), size=12)
+        cols = rng.integers(0, len(sphere.phi), size=12)
+        errors = np.array([
+            sphere.values[i, j]
+            - mpmath_wigner_value(state.amplitudes, sphere.theta[i], sphere.phi[j])
+            for i, j in zip(rows.tolist(), cols.tolist())
+        ])
+        assert np.max(np.abs(errors)) <= 6e-15
+        assert np.sqrt(np.mean(errors**2)) <= 2e-15
 
 
 def epr_minus_single(n: int) -> EnsembleState:
