@@ -14,8 +14,8 @@ so that [S^j, S^k] = 2i eps_{jkl} S^l.  Rotations from the north pole are
     U(theta, phi) = exp(-i S^z phi / 2) exp(-i S^y theta / 2).
 
 The y-rotation matrix comes from the eigenbasis of S^x, which is real
-tridiagonal; single rotated columns keep the closed form (Jacobi
-polynomials) for its relative accuracy in the tails.  Its eigenvectors, like
+tridiagonal; a column over many polar angles keeps the Jacobi closed form,
+as log-moduli, for its relative accuracy in the tails.  Its eigenvectors, like
 the Clebsch-Gordan table of :mod:`spinrsp.wigner`, are walked down their
 recurrence, so the package's one eigensolver serves the 2A2S Hamiltonian.
 """
@@ -80,15 +80,17 @@ class EnsembleState:
 class RotationSpec:
     """Bloch rotation target (theta, phi), stored in canonical ranges.
 
-    Angles are reduced modulo 2*pi; a polar angle beyond pi is folded via
-    (theta, phi) -> (2*pi - theta, phi + pi), which addresses the same Bloch
-    direction (the folded unitary can differ by a global phase only).
+    Finite angles only, reduced modulo 2*pi; a polar angle beyond pi is
+    folded via (theta, phi) -> (2*pi - theta, phi + pi), which addresses the
+    same Bloch direction (the folded unitary can differ by a global phase).
     """
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise DomainError(f"angles must be finite, got ({self.theta}, {self.phi})")
         theta = float(self.theta) % (2.0 * math.pi)
         phi = float(self.phi)
         if theta > math.pi:
@@ -100,30 +102,22 @@ class RotationSpec:
 
 
 def _y_rotation_exponents(n: int, kp, k):
-    """Pieces of the closed form of <kp| exp(-i S^y theta/2) |k>.
+    """Closed form of <kp| exp(-i S^y theta/2) |k> (Edmonds 1957, eq. 4.1.23).
 
-    Returns (k0, a, b, log_prefactor, sign): the element is sign *
-    exp(log_prefactor) * sin(theta/2)^a * cos(theta/2)^b times the Jacobi
-    polynomial P_k0^(a, b)(cos theta).  :func:`rotation_log_column` keeps
-    the powers as logarithms, so elements that underflow stay exact to
-    rounding.
+    Returns (k0, a, b, log_prefactor, sign), a = |kp - k|, b = |kp + k - n|,
+    k0 = (n - a - b)/2: the element is sign * exp(log_prefactor) *
+    sin(theta/2)^a * cos(theta/2)^b * P_k0^(a, b)(cos theta), a Jacobi
+    polynomial.  :func:`rotation_log_column` keeps the powers as logarithms,
+    so elements that underflow stay exact to rounding.
     """
     from scipy.special import gammaln  # here, off the CLI's import time
     kp = np.asarray(kp, dtype=float)
-    k = np.asarray(k, dtype=float)
-    kp, k = np.broadcast_arrays(kp, k)
-    # Smallest of the four corner distances decides which of the four
-    # equivalent closed forms is evaluated (all are the same polynomial).
-    k0 = np.minimum(np.minimum(k, n - k), np.minimum(kp, n - kp))
-    case_k = k == k0
-    case_nk = (~case_k) & (n - k == k0)
-    case_kp = (~case_k) & (~case_nk) & (kp == k0)
-    a = np.where(case_k, kp - k, np.where(case_nk | case_kp, k - kp, kp - k))
-    lam = np.where(case_k, kp - k, np.where(case_nk | case_kp, 0.0, kp - k))
-    b = n - 2.0 * k0 - a
-    log_c1 = gammaln(n - k0 + 1) - gammaln(k0 + a + 1) - gammaln(n - 2 * k0 - a + 1)
+    a = np.abs(kp - k)
+    b = np.abs(kp + k - n)
+    k0 = (n - a - b) / 2.0
+    log_c1 = gammaln(n - k0 + 1) - gammaln(k0 + a + 1) - gammaln(b + 1)
     log_c2 = gammaln(k0 + b + 1) - gammaln(b + 1) - gammaln(k0 + 1)
-    sign = np.where(np.mod(lam, 2) == 0, 1.0, -1.0)
+    sign = np.where((kp > k) & (a % 2 == 1), -1.0, 1.0)
     return k0, a, b, 0.5 * (log_c1 - log_c2), sign
 
 
@@ -201,25 +195,25 @@ def y_rotation_matrix(n_atoms: int, theta: float) -> np.ndarray:
     return d
 
 
-def rotation_log_column(
-    n_atoms: int, k: int, spec: RotationSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column k of U(theta, phi) as unit phases and natural-log moduli.
+def rotation_log_column(n_atoms: int, k: int, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Column k of exp(-i S^y theta/2) per theta in ``thetas``: signs, log-moduli.
 
-    Element kp equals ``phases[kp] * exp(log_moduli[kp])``; an exactly zero
-    element has log-modulus -inf.  Near theta = 0 and pi most elements are
-    high powers of sin(theta/2) or cos(theta/2), which the columns of
-    :func:`y_rotation_matrix` underflow to zero; here they keep their full
-    relative precision.
+    Element [t, kp] equals ``signs[t, kp] * exp(log_moduli[t, kp])``; an
+    exactly zero element has log-modulus -inf.  Near theta = 0 and pi most
+    elements are high powers of sin(theta/2) or cos(theta/2), which the
+    columns of :func:`y_rotation_matrix` underflow to zero; here they keep
+    their full relative precision.  Each theta must lie in [0, pi].
     """
     from scipy.special import eval_jacobi  # see _y_rotation_exponents
     if not 0 <= k <= n_atoms:
         raise DomainError(f"k must lie in [0, {n_atoms}], got {k}")
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    if not np.all((thetas >= 0.0) & (thetas <= math.pi)):
+        raise DomainError(f"thetas must lie in [0, pi], got {thetas.ravel()!r}")
     kp = np.arange(n_atoms + 1)
-    k0, a, b, log_prefactor, sign = _y_rotation_exponents(n_atoms, kp, float(k))
-    # RotationSpec keeps theta in [0, pi], so both half-angle factors are >= 0.
-    s, c = math.sin(spec.theta / 2.0), math.cos(spec.theta / 2.0)
-    jacobi = eval_jacobi(k0, a, b, math.cos(spec.theta))
+    k0, a, b, log_prefactor, sign = _y_rotation_exponents(n_atoms, kp, k)
+    s, c = np.sin(thetas / 2.0), np.cos(thetas / 2.0)
+    jacobi = eval_jacobi(k0, a, b, np.cos(thetas))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_moduli = (
             log_prefactor
@@ -227,4 +221,4 @@ def rotation_log_column(
             + np.where(b == 0, 0.0, b * np.log(c))
             + np.log(np.abs(jacobi))
         )
-    return _z_phases(n_atoms, -spec.phi) * sign * np.sign(jacobi), log_moduli
+    return sign * np.sign(jacobi), log_moduli

@@ -69,10 +69,12 @@ class FluctuationSpec:
     outcome_rule: str | int = "highest"
 
     def __post_init__(self):
-        if self.sigma0 <= 0:
-            raise DomainError(f"sigma0 must be > 0, got {self.sigma0}")
-        if self.truncation <= 0:
-            raise DomainError(f"truncation must be > 0, got {self.truncation}")
+        if not math.isfinite(self.mean_atoms):
+            raise DomainError(f"mean_atoms must be finite, got {self.mean_atoms}")
+        if not 0 < self.sigma0 < math.inf:
+            raise DomainError(f"sigma0 must lie in (0, inf), got {self.sigma0}")
+        if not 0 < self.truncation < math.inf:
+            raise DomainError(f"truncation must lie in (0, inf), got {self.truncation}")
         rule = self.outcome_rule
         if isinstance(rule, bool) or not (
             rule in ("highest", "lowest") or (isinstance(rule, int) and rule >= 0)
@@ -293,10 +295,9 @@ def _evolved_rows(n_a: int, n_bs: np.ndarray, tau: float, kept: dict) -> np.ndar
     return amps
 
 
-def _pair_spins(n_a: int, n_bs: np.ndarray, amps: np.ndarray, k: int,
-                spec: RotationSpec):
-    """(spins, probability, defined, log_scale) per row of
-    :func:`_evolved_rows` for Alice's outcome k.
+def _pair_spins(n_a: int, n_bs: np.ndarray, amps: np.ndarray, k: int, thetas):
+    """(spins, probability, defined, log_scale) as (row, theta) arrays for
+    Alice's outcome k at phi = 0, rows those of :func:`_evolved_rows`.
 
     Each row is scaled by exp(-log_scale), the largest Alice amplitude it
     can reach, before the zero-probability cut.  The cut thus weighs the
@@ -306,20 +307,22 @@ def _pair_spins(n_a: int, n_bs: np.ndarray, amps: np.ndarray, k: int,
     Alice amplitudes of order cos(theta/2)^(N_A - N_B), yet its conditional
     state is well defined.
     """
-    phases, log_moduli = rotation_log_column(n_a, k, _alice_spec(spec))
+    signs, log_moduli = rotation_log_column(n_a, k, thetas)
     k_b = np.arange(amps.shape[1])
     k_a = n_a - n_bs[:, None] + k_b
     reach = (k_a >= 0) & (k_b <= n_bs[:, None])
     k_a = np.clip(k_a, 0, n_a)
-    logs = np.where(reach, log_moduli[k_a], -np.inf)
-    top = np.max(logs, axis=1, initial=-np.inf)
-    log_scale = np.where(top > -np.inf, top, 0.0)
-    a = np.exp(logs - log_scale[:, None])
-    p, moments = (x[:, 0] for x in _spin_moments(
-        n_bs, amps, np.conj(phases[k_a]), a[..., None], k < n_a / 2
-    ))
+    a = log_moduli.T[k_a]  # (rows, Bob levels, targets)
+    a[~reach] = -np.inf
+    log_scale = np.max(a, axis=1, initial=-np.inf)
+    log_scale[log_scale == -np.inf] = 0.0
+    a -= log_scale[:, None]
+    np.exp(a, out=a)
+    a *= signs.T[k_a]
+    phases = np.conj(_z_phases(n_a, -math.pi))[k_a]  # Alice's U(theta, pi)
+    p, moments = _spin_moments(n_bs, amps, phases, a, k < n_a / 2)
     defined = p >= _ZERO_PROBABILITY
-    return moments / np.where(defined, p, 1.0)[:, None], p, defined, log_scale
+    return moments / np.where(defined, p, 1.0)[..., None], p, defined, log_scale
 
 
 def fluctuating_spin_averages(
@@ -337,8 +340,8 @@ def fluctuating_spin_averages(
     chosen by ``fspec.outcome_rule`` and a common squeezing time tau.
     Zero-probability branches and empty Bob ensembles contribute nothing;
     fixed-rule outcomes exceeding a shot's N_A are skipped.  Each unordered
-    pair {N_A, N_B} is evolved once per call, whatever the number of
-    targets.
+    pair {N_A, N_B} is evolved, and each N_A row read at phi = 0 for every
+    target, once per call; phi, Bob's z-rotation, turns (<S^x>, <S^y>).
 
     A branch counts as zero-probability only when it vanishes next to the
     largest Alice amplitude it can reach (see ``_pair_spins``), not when
@@ -354,6 +357,8 @@ def fluctuating_spin_averages(
     ns, weights = fspec.support()
     bob = ns > 0  # an empty ensemble carries no Bloch vector
     n_bs, per_atom = ns[bob], weights[bob] / ns[bob]
+    thetas = [spec.theta for spec in specs]
+    turns = np.exp(1j * np.array([spec.phi for spec in specs]))
     acc = np.zeros((len(specs), 3))
     skipped = 0
     # A fixed-rule outcome skips only rows N_A below it, so every row above
@@ -365,7 +370,8 @@ def fluctuating_spin_averages(
             skipped += len(ns)
             continue
         amps = _evolved_rows(n_a, n_bs, tau, kept)
-        for total, spec in zip(acc, specs):
-            spins, _, defined, _ = _pair_spins(n_a, n_bs, amps, k, spec)
-            total += w_a * (per_atom[defined] @ spins[defined])
-    return acc, skipped
+        spins, _, defined, _ = _pair_spins(n_a, n_bs, amps, k, thetas)
+        spins[~defined] = 0.0
+        acc += w_a * np.tensordot(per_atom, spins, axes=1)
+    xy = turns * (acc[:, 0] + 1j * acc[:, 1])
+    return np.column_stack((xy.real, xy.imag, acc[:, 2])) + 0.0, skipped  # no -0.0

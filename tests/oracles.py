@@ -1061,10 +1061,9 @@ def _alice_log_column(n_a: int, k: int, spec: RotationSpec):
     log-moduli), or None for the trivial rotation of an empty ensemble."""
     if n_a == 0:
         return None
-    phases, log_moduli = rotation_log_column(
-        n_a, k, RotationSpec(spec.theta, math.pi - spec.phi)
-    )
-    return np.conj(phases), log_moduli
+    alice = RotationSpec(spec.theta, math.pi - spec.phi)
+    (signs,), (log_moduli,) = rotation_log_column(n_a, k, [alice.theta])
+    return np.conj(_z_phases(n_a, -alice.phi) * signs), log_moduli
 
 
 def _pair_branch(

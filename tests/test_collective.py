@@ -114,6 +114,18 @@ class TestRotationSpec:
         assert spec.theta == pytest.approx(folded.theta)
         assert spec.phi == pytest.approx(folded.phi)
 
+    @pytest.mark.parametrize(
+        "theta,phi",
+        [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 1.0), (0.3, math.nan),
+         (0.3, math.inf)],
+    )
+    def test_non_finite_angles_rejected(self, theta, phi):
+        # A NaN theta used to reach the fluctuation average as a small finite
+        # vector and branch_statistics as a "drifted" rotation matrix; an
+        # infinite phi gave NaN spins.
+        with pytest.raises(DomainError):
+            RotationSpec(theta, phi)
+
     def test_folded_angles_give_same_physics(self):
         # The folded rotation differs per column by a phase only, so every
         # rotated Fock state carries identical spin expectations.
@@ -179,22 +191,40 @@ class TestRotationMatrix:
 
     def test_log_column_matches_column(self):
         n = 9
-        for theta, phi in ANGLE_PAIRS:
-            spec = RotationSpec(theta, phi)
-            for k in (0, 4, 9):
-                phases, log_moduli = rotation_log_column(n, k, spec)
+        thetas = sorted({theta for theta, _ in ANGLE_PAIRS})
+        for k in (0, 4, 9):
+            signs, log_moduli = rotation_log_column(n, k, thetas)
+            for theta, sign, logs in zip(thetas, signs, log_moduli):
                 np.testing.assert_allclose(
-                    phases * np.exp(log_moduli),
-                    rotation_column(n, k, spec),
+                    sign * np.exp(logs),
+                    rotation_column(n, k, RotationSpec(theta, 0.0)),
                     atol=1e-14,
                 )
+
+    def test_log_column_rows_match_single_theta_calls(self):
+        n = 30
+        thetas = [0.0, 1e-8, 0.7, 0.5 * math.pi, 2.9, math.pi - 1e-6, math.pi]
+        for k in (0, 7, 15, 30):
+            signs, log_moduli = rotation_log_column(n, k, thetas)
+            assert signs.shape == log_moduli.shape == (len(thetas), n + 1)
+            for theta, sign, logs in zip(thetas, signs, log_moduli):
+                one_sign, one_logs = rotation_log_column(n, k, [theta])
+                assert np.array_equal(one_sign[0], sign)
+                assert np.array_equal(one_logs[0], logs)
+
+    @pytest.mark.parametrize(
+        "theta", [-1e-12, math.pi + 1e-9, 2.0 * math.pi, math.nan, math.inf]
+    )
+    def test_log_column_rejects_theta_outside_0_pi(self, theta):
+        with pytest.raises(DomainError):
+            rotation_log_column(6, 2, [0.5, theta])
 
     def test_log_column_keeps_underflowing_elements(self):
         # Column N at theta = pi holds sqrt(C(N, kp)) cos(pi/2)^kp, which the
         # plain column underflows to zero from kp = 20 on.
         n = 60
         spec = RotationSpec(math.pi, 0.0)
-        _, log_moduli = rotation_log_column(n, n, spec)
+        _, (log_moduli,) = rotation_log_column(n, n, [spec.theta])
         kp = np.arange(n + 1)
         expected = np.array(
             [0.5 * math.log(math.comb(n, j)) + j * math.log(math.cos(math.pi / 2))

@@ -550,10 +550,14 @@ def pair_shot(n_a: int, n_b: int, tau: float, k: int, spec: RotationSpec):
     n_bs = np.array([n_b])
     amps = spinrsp.protocol._evolved_rows(n_a, n_bs, tau, {})
     spins, p, defined, log_scale = spinrsp.protocol._pair_spins(
-        n_a, n_bs, amps, k, spec)
-    if not defined[0]:
+        n_a, n_bs, amps, k, [spec.theta])
+    if not defined[0, 0]:
         return None, 0.0
-    return spins[0], float(p[0]) * math.exp(2.0 * log_scale[0])
+    # The kernel reads phi = 0; the target's phi turns (<S^x>, <S^y>).
+    sx, sy, sz = spins[0, 0]
+    c, s = math.cos(spec.phi), math.sin(spec.phi)
+    turned = np.array([c * sx - s * sy, s * sx + c * sy, sz])
+    return turned, float(p[0, 0]) * math.exp(2.0 * log_scale[0, 0])
 
 
 class TestPairConditionalSpins:
@@ -593,6 +597,15 @@ class TestFluctuationSpec:
     def test_invalid_width(self):
         with pytest.raises(DomainError):
             FluctuationSpec(20, 0.0)
+
+    @pytest.mark.parametrize("field", ["mean_atoms", "sigma0", "truncation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # support() used to fail on them with a bare ValueError or an
+        # OverflowError.
+        params = {"mean_atoms": 20.0, "sigma0": 1.0, "truncation": 4.0, field: value}
+        with pytest.raises(DomainError):
+            FluctuationSpec(**params)
 
     def test_invalid_truncation(self):
         with pytest.raises(DomainError):
@@ -747,6 +760,33 @@ class TestFluctuatingSpinAverages:
         pairs = len(ns) * (len(ns) + 1) // 2
         assert len(calls) == pairs
         assert len({tuple(sorted(c)) for c in calls}) == pairs
+
+    def test_reads_each_row_once_for_every_target(self, monkeypatch):
+        calls = {"moments": 0, "exponents": 0}
+        moments = spinrsp.protocol._spin_moments
+        exponents = spinrsp.collective_spin._y_rotation_exponents
+
+        def counted_moments(*args):
+            calls["moments"] += 1
+            return moments(*args)
+
+        def counted_exponents(*args):
+            calls["exponents"] += 1
+            return exponents(*args)
+
+        monkeypatch.setattr(spinrsp.protocol, "_spin_moments", counted_moments)
+        monkeypatch.setattr(
+            spinrsp.collective_spin, "_y_rotation_exponents", counted_exponents
+        )
+        # Rows N_A = 6, 7 fall below the fixed outcome 8 and are skipped.
+        fspec = FluctuationSpec(10, 1.0, outcome_rule=8)
+        ns, _ = fspec.support()
+        assert ns.tolist() == list(range(6, 15))
+        specs = [RotationSpec(theta, 0.4) for theta in (0.0, 0.6, 1.5, 2.5, math.pi)]
+        spins, skipped = fluctuating_spin_averages(fspec, specs, 0.1)
+        assert spins.shape == (5, 3)
+        assert skipped == 2 * len(ns)
+        assert calls == {"moments": 7, "exponents": 7}
 
     def test_moderate_width_tracks_target_direction(self):
         # Highest-outcome shots point Bob along (theta, phi) with per-atom
