@@ -55,7 +55,7 @@ from .squeezing import (
     epr_minus,
     fidelity,
     find_optimal_time,
-    pair_variances,
+    pair_variance,
     squeezing_run,
 )
 from .wigner import wigner_map
@@ -378,7 +378,7 @@ def _branch_columns(resource, theta: float, phis: Sequence[float], k_sel):
     c = np.array([math.cos(t) for t in turns])[:, None]
     s = np.array([math.sin(t) for t in turns])[:, None]
     columns = (ks.tolist(), probs[ks].tolist(), sz.tolist(), errors[ks].tolist())
-    return columns, (c * sx - s * sy, s * sx + c * sy)
+    return columns, (c * sx - s * sy + 0.0, s * sx + c * sy + 0.0)  # no -0.0
 
 
 def _branch_blocks(resource, thetas, phis, k_sel) -> list[str]:
@@ -423,14 +423,14 @@ def _run_optimal_time(p) -> tuple[str, dict]:
 def _run_squeeze(p) -> tuple[str, dict]:
     n = p["n"]
     state = squeezing_run(n, p["tau"])
-    variances = pair_variances(state)
+    variance = pair_variance(state)
     payload = {
         "n": n,
         "tau": p["tau"],
         "fidelity": fidelity(state, epr_minus(n)),
-        "var_sum_x": variances.var_xp,
-        "var_diff_y": variances.var_ym,
-        "var_diff_z": variances.var_zm,
+        "var_sum_x": variance,
+        "var_diff_y": variance,
+        "var_diff_z": 0.0,
         "psi_re": state.psi.real,
         "psi_im": state.psi.imag,
     }
@@ -450,9 +450,10 @@ def _run_protocol_cmd(p) -> tuple[str, dict]:
 def _run_prob_dist(p) -> tuple[str, dict]:
     resource = squeezing_run(p["n"], p["tau"])
     records = [f"{k},%.12g\n" for k in range(p["n"] + 1)]
-    blocks = [f"{theta:.12g},".join(["", *records])
-              % tuple(outcome_probabilities(resource, theta).tolist())
-              for theta in _thetas(p)]
+    blocks = []
+    for theta in _thetas(p):  # computed folded into [0, pi], written as given
+        probs = outcome_probabilities(resource, RotationSpec(theta).theta)
+        blocks.append(f"{theta:.12g},".join(["", *records]) % tuple(probs.tolist()))
     return _render(("theta", "k", "p"), blocks, p["format"]), {}
 
 

@@ -267,18 +267,18 @@ def postselected_error(branches: tuple, k_cut: int) -> tuple[float, float]:
 # With unequal atom numbers the squeezing interaction still conserves the
 # difference of Fock labels: from |N_A, N_B> only |N_A - d, N_B - d> with
 # d = 0..min(N_A, N_B) is reachable.  ``squeezing.evolve_pair`` propagates
-# that tridiagonal problem, shared with the resource's N_A = N_B case.
+# that tridiagonal problem, shared with the resource's N_A = N_B case, and
+# returns it in the protocol frame.
 
 
 def _evolved_rows(n_a: int, n_bs: np.ndarray, tau: float, kept: dict) -> np.ndarray:
     """The evolved pairs (N_A, N_B) for each N_B in ``n_bs``, in the
-    rotated frame of both ensembles, one zero-padded row per N_B.
+    protocol frame, one zero-padded row per N_B.
 
     Row entry k_b = N_B - d holds the amplitude on |N_A - d, N_B - d>.
     Over d, the pairs (N_A, N_B) and (N_B, N_A) are the same vector: the
-    couplings are symmetric in the two sizes, and so is the frame exponent
-    (2k_a - N_A) + (2k_b - N_B) = N_A + N_B - 4d.  Rows are built in
-    ascending N_A, so a pair is taken from ``kept`` when an earlier row
+    couplings and the frame are symmetric in the two sizes.  Rows are built
+    in ascending N_A, so a pair is taken from ``kept`` when an earlier row
     evolved its mirror, and one evolved here with 0 < N_A < N_B is left
     there for row N_B.
     """
@@ -286,9 +286,7 @@ def _evolved_rows(n_a: int, n_bs: np.ndarray, tau: float, kept: dict) -> np.ndar
     for row, n_b in zip(amps, n_bs.tolist()):
         vec = kept.pop((n_b, n_a), None)
         if vec is None:
-            d = np.arange(min(n_a, n_b) + 1)
-            frame = np.exp(1j * (n_a + n_b - 4 * d) * math.pi / 8.0)
-            vec = evolve_pair(n_a, n_b, tau) * frame
+            vec = evolve_pair(n_a, n_b, tau)
             if 0 < n_a < n_b:
                 kept[(n_a, n_b)] = vec
         row[n_b - np.arange(len(vec))] = vec

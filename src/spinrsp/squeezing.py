@@ -26,12 +26,11 @@ from .errors import DomainError, NumericalError, SearchFailureError
 
 __all__ = [
     "DiagonalPairState",
-    "VarianceTriple",
     "epr_minus",
     "evolve_pair",
     "fidelity",
     "find_optimal_time",
-    "pair_variances",
+    "pair_variance",
     "squeezing_run",
 ]
 
@@ -44,7 +43,7 @@ class DiagonalPairState:
     ``psi[k]`` is the amplitude of |k>_A |k>_B.  The protocol frame is the
     one in which the resource approximates the spin-EPR state: the 2A2S
     evolution is followed by the exp(i S^z pi/8) phase rotation of each
-    ensemble (:func:`squeezing_run`), and the spin-EPR state itself
+    ensemble (:func:`evolve_pair`), and the spin-EPR state itself
     (:func:`epr_minus`) needs none.
     """
 
@@ -56,15 +55,6 @@ class DiagonalPairState:
             raise DomainError(f"n_atoms must be >= 1, got {self.n_atoms}")
         psi = _checked_amplitudes(self.n_atoms, self.psi, "psi")
         object.__setattr__(self, "psi", psi)
-
-
-@dataclass(frozen=True)
-class VarianceTriple:
-    """Squeezing variances of the correlated pair quadratures."""
-
-    var_xp: float  # Var(S^x_A + S^x_B)
-    var_ym: float  # Var(S^y_A - S^y_B)
-    var_zm: float  # Var(S^z_A - S^z_B)
 
 
 # Largest matrix solved densely by numpy, N = 200: there numpy's eigh gives
@@ -106,14 +96,19 @@ def _eigensystem(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_pair(n_a: int, n_b: int, tau: float) -> np.ndarray:
-    """exp(-i H tau) |N_A, N_B> as amplitudes c_d on |N_A - d, N_B - d>,
-    d = 0..min(N_A, N_B) ascending (no frame rotation).
+    """exp(-i H tau) |N_A, N_B> in the protocol frame, as amplitudes c_d on
+    |N_A - d, N_B - d>, d = 0..min(N_A, N_B) ascending.
 
     Computed by eigendecomposition of the tridiagonal subspace Hamiltonian,
-    exact for every tau.  The initial state d = 0 is the first basis vector.
+    exact for every tau; the initial state d = 0 is the first basis vector.
+    The frame exp(i S^z pi/8) on each ensemble multiplies |N_A - d, N_B - d>
+    by exp(i ((2k_A - N_A) + (2k_B - N_B)) pi/8) = exp(i (N_A + N_B - 4d) pi/8),
+    which is symmetric in the two sizes.
     """
     evals, evecs = _eigensystem(n_a, n_b)
-    return evecs @ (np.exp(-1j * evals * tau) * evecs[0, :])
+    d = np.arange(min(n_a, n_b) + 1)
+    frame = np.exp(1j * (n_a + n_b - 4 * d) * math.pi / 8.0)
+    return evecs @ (np.exp(-1j * evals * tau) * evecs[0, :]) * frame
 
 
 def epr_minus(n_atoms: int) -> DiagonalPairState:
@@ -137,19 +132,14 @@ def fidelity(state: DiagonalPairState, target: DiagonalPairState) -> float:
 
 
 def squeezing_run(n_atoms: int, tau: float) -> DiagonalPairState:
-    """The squeezed resource after time tau, in the protocol frame.
-
-    exp(-i H tau) |N>_A |N>_B is the N_A = N_B case of :func:`evolve_pair`,
-    read with the labels k = N - d in ascending order, and then rotated by
-    exp(i S^z pi/8) on each ensemble: on |k,k> the two factors multiply to
-    exp(i (2k - N) pi/4).
-    """
+    """The squeezed resource after time tau, in the protocol frame: the
+    N_A = N_B case of :func:`evolve_pair`, read with the labels k = N - d in
+    ascending order."""
     if n_atoms < 1:
         raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    frame = _z_phases(n_atoms, math.pi / 2)
-    return DiagonalPairState(n_atoms, evolve_pair(n_atoms, n_atoms, tau)[::-1] * frame)
+    return DiagonalPairState(n_atoms, evolve_pair(n_atoms, n_atoms, tau)[::-1])
 
 
 # Step of the first-peak scan over (0, pi/2], capped at 1/N so that the peak
@@ -211,12 +201,13 @@ def find_optimal_time(n_atoms: int) -> tuple[float, float]:
     return tau_opt, fid(tau_opt)
 
 
-def pair_variances(state: DiagonalPairState) -> VarianceTriple:
-    """Variances of S^x_A + S^x_B, S^y_A - S^y_B, S^z_A - S^z_B.
+def pair_variance(state: DiagonalPairState) -> float:
+    """Var(S^x_A + S^x_B) = Var(S^y_A - S^y_B), the squeezed pair quadrature
+    in the protocol frame.
 
-    These are the squeezed and conserved combinations in the protocol
-    frame.  On the diagonal pair basis all three expectations vanish and
-    the second moments reduce to ladder-coefficient sums over psi.
+    On the diagonal pair basis every first moment vanishes and the second
+    moments reduce to ladder-coefficient sums over psi; S^z_A - S^z_B
+    annihilates every |k,k>, so its variance is identically 0.
     """
     n = state.n_atoms
     psi = state.psi
@@ -224,12 +215,9 @@ def pair_variances(state: DiagonalPairState) -> VarianceTriple:
     f = np.sqrt((k + 1.0) * (n - k))  # <k+1|S^+|k>, entry N is 0
     g = np.sqrt(k * (n - k + 1.0))  # <k-1|S^-|k>, entry 0 is 0
     p = np.abs(psi) ** 2
-    # <(S^x_A)^2> = <(S^x_B)^2> = sum_k p_k (f_k^2 + g_k^2); the diagonal
-    # basis makes the first moments zero.
+    # <(S^x_A)^2> = <(S^x_B)^2> = sum_k p_k (f_k^2 + g_k^2).
     second = float(np.sum(p * (f**2 + g**2)))
     # <S^x_A S^x_B> = 2 Re sum_k f_k^2 conj(psi_{k+1}) psi_k; the same sum
     # enters <S^y_A S^y_B> with the opposite sign.
     cross = complex(np.sum(f[:-1] ** 2 * np.conj(psi[1:]) * psi[:-1]))
-    var = 2.0 * second + 4.0 * cross.real
-    # S^z_A - S^z_B annihilates every |k,k>: both moments vanish identically.
-    return VarianceTriple(var, var, 0.0)
+    return 2.0 * second + 4.0 * cross.real

@@ -74,7 +74,6 @@ from spinrsp.squeezing import (
     DiagonalPairState,
     _eigensystem,
     epr_minus,
-    evolve_pair,
 )
 from spinrsp.wigner import (
     SphereMap,
@@ -228,6 +227,26 @@ def joint_evolution(n_a: int, n_b: int, tau: float) -> np.ndarray:
     psi0[n_a * (n_b + 1) + n_b] = 1.0
     psi = expm(-1j * hamiltonian * tau) @ psi0
     return psi.reshape(n_a + 1, n_b + 1)
+
+
+def unframed_pair(n_a: int, n_b: int, tau: float) -> np.ndarray:
+    """exp(-i H tau) |N_A, N_B> with no frame rotation, as amplitudes on
+    |N_A - d, N_B - d>, d ascending, propagated in the library's eigenbasis
+    of the 2A2S Hamiltonian (``squeezing.evolve_pair`` before its frame)."""
+    evals, evecs = _eigensystem(n_a, n_b)
+    return evecs @ (np.exp(-1j * evals * tau) * evecs[0, :])
+
+
+def joint_pair_variance(amps: np.ndarray, op: np.ndarray, sign: float) -> float:
+    """Var(O_A + sign O_B) of the joint amplitude matrix amps[k_a, k_b], with
+    the one-ensemble operator O applied to each index by a matrix product."""
+
+    def apply(m):
+        return op @ m + sign * (m @ op.T)
+
+    once = apply(amps)
+    mean = np.vdot(amps, once).real
+    return float(np.vdot(amps, apply(once)).real - mean * mean)
 
 
 def frame_phase_vector(n: int) -> np.ndarray:
@@ -1085,7 +1104,7 @@ def _pair_branch(
     k_b = n_b - d
     # The evolved pair in the rotated frame of both ensembles.
     frame = np.exp(1j * ((2 * k_a - n_a) + (2 * k_b - n_b)) * math.pi / 8.0)
-    c = evolve_pair(n_a, n_b, tau) * frame
+    c = unframed_pair(n_a, n_b, tau) * frame
     if alice_column is None:
         branch = c
         log_scale = 0.0
@@ -1208,9 +1227,9 @@ def branch_rows(resource, theta: float, phis, k_sel):
                 rows.append((theta, phi, k, probs[k], None, None, None, None))
                 continue
             sx, sy, sz = spins[k]
-            rows.append(
+            rows.append(  # + 0.0: a turned zero is written 0, not -0
                 (theta, phi, k, probs[k],
-                 cos * sx - sin * sy, sin * sx + cos * sy, sz, errors[k])
+                 cos * sx - sin * sy + 0.0, sin * sx + cos * sy + 0.0, sz, errors[k])
             )
     return rows
 

@@ -27,9 +27,8 @@ from spinrsp.protocol import (
 )
 from spinrsp.squeezing import (
     epr_minus,
-    evolve_pair,
     find_optimal_time,
-    pair_variances,
+    pair_variance,
     squeezing_run,
 )
 from spinrsp.wigner import wigner_map
@@ -111,8 +110,9 @@ def test_criterion_3_brute_force_equivalence():
         off_diagonal = dense.copy()
         np.fill_diagonal(off_diagonal, 0.0)
         amp_devs.append(np.max(np.abs(off_diagonal)))
-        amp_devs.append(np.max(np.abs(np.diag(dense) - evolve_pair(n, n, tau)[::-1])))
         resource = squeezing_run(n, tau)
+        framed = np.diag(dense) * oracles.frame_phase_vector(n) ** 2
+        amp_devs.append(np.max(np.abs(framed - resource.psi)))
         for theta, phi in angles:
             ref_probs, ref_states = oracles.brute_force_protocol(
                 n, tau, theta, phi
@@ -174,16 +174,22 @@ def test_criterion_4_probability_symmetry_and_phase_independence():
 
 
 def test_criterion_5_squeezing_variances():
+    # Var(S^z_A - S^z_B) of the dense joint evolution from |N>|N>, which is
+    # free to leave the diagonal pair states; one dense eigendecomposition
+    # of the joint Hamiltonian serves every tau.
+    sp, sm, sz = oracles.ladder_operators(20)
+    evals, evecs = np.linalg.eigh(np.kron(sp, sp) + np.kron(sm, sm))
     zm_devs = [
-        abs(pair_variances(squeezing_run(20, float(tau))).var_zm)
+        abs(oracles.joint_pair_variance(
+            (evecs @ (np.exp(-1j * evals * tau) * evecs[-1])).reshape(21, 21),
+            sz, -1.0))
         for tau in np.linspace(0.0, 0.5, 26)
     ]
     worst_zm = float(np.max(zm_devs))
     n = 50
     tau = 0.01
-    variances = pair_variances(squeezing_run(n, tau))
     short_time_law = 2.0 * n * math.exp(-2.0 * n * tau)
-    ratio = variances.var_xp / short_time_law
+    ratio = pair_variance(squeezing_run(n, tau)) / short_time_law
     ok = worst_zm < 1e-10 and 0.85 <= ratio <= 1.15
     line = report(
         5,

@@ -738,6 +738,50 @@ class TestPhiAsBobRotation:
         assert len(rows) == 1001
         assert sum(float(row[2]) for row in rows) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", ["1e308", "-7", "4"])
+    def test_prob_dist_folds_pinned_theta(self, tmp_path, monkeypatch, theta):
+        # prob-dist computes at RotationSpec's folded polar angle, as the
+        # other subcommands do, and writes the angle given: at 1e308 the raw
+        # angle's phases overflowed to inf (exit 4).
+        computed = []
+
+        def spy(*args):
+            computed.append(outcome_probabilities(*args))
+            return computed[-1]
+
+        monkeypatch.setattr(cli, "outcome_probabilities", spy)
+        out = tmp_path / "pd.csv"
+        assert run_main("prob-dist", "--n", "5", "--theta", theta,
+                        "--out", str(out)) == 0
+        rows = read_rows(out, "theta,k,p")
+        assert {row[0] for row in rows} == {f"{float(theta):.12g}"}
+        assert [row[2] for row in rows] == [f"{p:.12g}" for p in computed[0]]
+        assert float(np.sum(computed[0])) == pytest.approx(1.0, abs=1e-12)
+        if theta == "4":
+            mirror = tmp_path / "mirror.csv"
+            assert run_main("prob-dist", "--n", "5", "--theta",
+                            repr(2.0 * math.pi - 4.0), "--out", str(mirror)) == 0
+            np.testing.assert_allclose(computed[0], computed[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta", ["0", "pi:1"])
+    def test_no_negative_zero_cells(self, tmp_path, theta):
+        # Turning an exact zero spin by cos(phi) < 0 gives -0.0; the sweeps
+        # write it as 0, as fluctuation does.
+        out = tmp_path / "ss.csv"
+        assert run_main("spin-sweep", "--n", "20", "--theta", theta,
+                        "--phi-nodes", "8", "--out", str(out)) == 0
+        cells = [cell for row in read_rows(out, "theta,phi,k,p,sx,sy,sz,e")
+                 for cell in row]
+        assert len(cells) == 8 * 21 * 8
+        assert "-0" not in cells
+        for j in range(8):
+            assert run_main("protocol", "--n", "4", "--theta", theta,
+                            "--phi", f"pi:{j / 4}", "--out", str(out)) == 0
+            cells = [cell for row in read_rows(out, "theta,phi,k,p,sx,sy,sz,e")
+                     for cell in row]
+            assert len(cells) == 5 * 8
+            assert "-0" not in cells, j
+
 
 class TestOnePassPerTheta:
     """Every sweep row of one polar angle comes from one protocol run, and

@@ -19,6 +19,7 @@ from oracles import (
     per_branch_protocol,
     rotated_fock_state,
     spin_expectations,
+    unframed_pair,
 )
 from spinrsp.collective_spin import EnsembleState, RotationSpec, y_rotation_matrix
 from spinrsp.errors import (
@@ -39,7 +40,6 @@ from spinrsp.protocol import (
 from spinrsp.squeezing import (
     DiagonalPairState,
     epr_minus,
-    evolve_pair,
     find_optimal_time,
     squeezing_run,
 )
@@ -244,7 +244,7 @@ class TestRunProtocol:
         # amplitudes, exp(i(2k'-N)X) with X = (3pi - 2phi)/4 minus pi/2 on
         # corrected branches, times the real y-rotation column.
         tau = 0.15
-        raw = evolve_pair(n, n, tau)[::-1]
+        raw = unframed_pair(n, n, tau)[::-1]
         resource = squeezing_run(n, tau)
         for theta in (0.3, math.pi / 2, 2.5):
             d = y_rotation_matrix(n, theta)
@@ -334,7 +334,7 @@ class TestOutcomeProbabilities:
             assert np.max(np.abs(fwd - rev[::-1])) < 1e-10
 
     def test_frame_rotation_irrelevant(self):
-        plain = DiagonalPairState(7, evolve_pair(7, 7, 0.13)[::-1])
+        plain = DiagonalPairState(7, unframed_pair(7, 7, 0.13)[::-1])
         rotated = squeezing_run(7, 0.13)
         np.testing.assert_allclose(
             outcome_probabilities(plain, 0.8),
@@ -740,6 +740,21 @@ class TestFluctuatingSpinAverages:
                     np.testing.assert_allclose(
                         averaged, ref_spins, rtol=0, atol=1e-13
                     )
+
+    def test_evolved_rows_are_framed_pairs_bitwise(self):
+        # Each row holds its pair in the protocol frame, bit for bit the
+        # unframed pair times exp(i (N_A + N_B - 4d) pi/8), for unequal
+        # pairs and for a pair read back mirrored from ``kept`` alike.
+        n_bs, tau, kept = np.array([0, 3, 5, 8]), 0.21, {}
+        for n_a in (3, 5):
+            rows = spinrsp.protocol._evolved_rows(n_a, n_bs, tau, kept)
+            for row, n_b in zip(rows, n_bs.tolist()):
+                d = np.arange(min(n_a, n_b) + 1)
+                frame = np.exp(1j * (n_a + n_b - 4 * d) * math.pi / 8.0)
+                expected = np.zeros(len(row), dtype=complex)
+                expected[n_b - d] = unframed_pair(n_a, n_b, tau) * frame
+                assert row.tobytes() == expected.tobytes(), (n_a, n_b)
+        assert list(kept) == [(3, 8), (5, 8)]
 
     def test_evolves_each_pair_once(self, monkeypatch):
         calls = []

@@ -13,7 +13,11 @@ from oracles import (
     coupling_strengths,
     frame_phase_vector,
     joint_evolution,
+    joint_pair_variance,
+    ladder_operators,
+    unframed_pair,
 )
+from spinrsp.collective_spin import _z_phases
 from spinrsp.errors import DomainError
 from spinrsp.squeezing import (
     DiagonalPairState,
@@ -22,7 +26,7 @@ from spinrsp.squeezing import (
     evolve_pair,
     fidelity,
     find_optimal_time,
-    pair_variances,
+    pair_variance,
     squeezing_run,
 )
 
@@ -71,12 +75,12 @@ class TestHamiltonian:
 
 class TestEvolution:
     def test_identity_at_tau_zero(self):
-        psi = evolve_pair(4, 4, 0.0)[::-1]
+        psi = unframed_pair(4, 4, 0.0)[::-1]
         np.testing.assert_allclose(psi, [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("tau", [0.1, 0.7, 1.3])
     def test_two_level_closed_form(self, tau):
-        psi = evolve_pair(1, 1, tau)[::-1]
+        psi = unframed_pair(1, 1, tau)[::-1]
         np.testing.assert_allclose(
             psi, [-1j * math.sin(tau), math.cos(tau)], atol=1e-12
         )
@@ -84,14 +88,14 @@ class TestEvolution:
     @pytest.mark.parametrize("n", [1, 3, 10, 40])
     def test_norm_conserved_on_grid(self, n):
         for tau in np.linspace(0.0, 1.0, 21):
-            psi = evolve_pair(n, n, float(tau))[::-1]
+            psi = unframed_pair(n, n, float(tau))[::-1]
             assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_energy_conserved(self, n):
         h = build_2a2s_tridiagonal(n)
         for tau in (0.0, 0.05, 0.3, 0.9):
-            psi = evolve_pair(n, n, tau)[::-1]
+            psi = unframed_pair(n, n, tau)[::-1]
             energy = np.vdot(psi, h @ psi).real
             assert abs(energy) < 1e-9
 
@@ -109,20 +113,22 @@ class TestEvolution:
         diag = np.ascontiguousarray(np.diagonal(joint))
         off_mass = np.sum(np.abs(joint) ** 2) - np.sum(np.abs(diag) ** 2)
         assert off_mass < 1e-10
-        np.testing.assert_allclose(diag, evolve_pair(n, n, tau)[::-1], atol=1e-10)
+        np.testing.assert_allclose(diag, unframed_pair(n, n, tau)[::-1], atol=1e-10)
 
     @pytest.mark.parametrize("n_a,n_b", [(3, 7), (6, 2), (4, 4), (0, 3)])
     def test_pair_propagator_matches_joint_space(self, n_a, n_b):
         # exp(-i H tau)|N_A, N_B> only reaches |N_A - d, N_B - d>, and the one
-        # propagator holds exactly those amplitudes, d ascending.
+        # propagator holds exactly those amplitudes, d ascending, each times
+        # the frame phase of both ensembles.
         for tau in (0.0, 0.13, 0.4):
             joint = joint_evolution(n_a, n_b, tau)
             d = np.arange(min(n_a, n_b) + 1)
             reached = joint[n_a - d, n_b - d]
             off_mass = np.sum(np.abs(joint) ** 2) - np.sum(np.abs(reached) ** 2)
             assert off_mass < 1e-10
+            frame = frame_phase_vector(n_a)[n_a - d] * frame_phase_vector(n_b)[n_b - d]
             np.testing.assert_allclose(
-                evolve_pair(n_a, n_b, tau), reached, rtol=0, atol=1e-10
+                evolve_pair(n_a, n_b, tau), reached * frame, rtol=0, atol=1e-10
             )
 
 
@@ -138,7 +144,7 @@ class TestDiagonalPairState:
 
 class TestFramePhases:
     def test_center_entry_unchanged(self):
-        raw = evolve_pair(4, 4, 0.3)[::-1]
+        raw = unframed_pair(4, 4, 0.3)[::-1]
         assert squeezing_run(4, 0.3).psi[2] == pytest.approx(raw[2])
 
     def test_top_entry_global_phase(self):
@@ -148,18 +154,27 @@ class TestFramePhases:
         assert abs(np.vdot(rotated.psi, rotated.psi).real - 1.0) < 1e-12
 
     def test_eight_applications_identity(self):
-        raw = evolve_pair(3, 3, 0.4)[::-1]
+        raw = unframed_pair(3, 3, 0.4)[::-1]
         frame = np.exp(1j * (2 * np.arange(4) - 3) * math.pi / 4.0)
         cycled = raw
         for _ in range(8):
             cycled = cycled * frame
         np.testing.assert_allclose(cycled, raw, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 60, 200, 201, 401])
+    def test_resource_is_unframed_pair_times_z_phases_bitwise(self, n):
+        # evolve_pair's frame exp(i (N_A + N_B - 4d) pi/8) at N_A = N_B = N
+        # is exp(i (2k - N) pi/4) on |k, k>, k = N - d: bit for bit the
+        # z-rotation exp(i S^z pi/8) of both ensembles, _z_phases(N, pi/2).
+        for tau in (0.0, 2.4 / n, 0.3):
+            expected = unframed_pair(n, n, tau)[::-1] * _z_phases(n, math.pi / 2)
+            assert squeezing_run(n, tau).psi.tobytes() == expected.tobytes()
+
     def test_matches_oracle_phase_vector(self):
         # Each diagonal pair entry |k,k> picks up the single-ensemble phase
         # once per ensemble, i.e. the square of the oracle vector.
         n = 6
-        raw = evolve_pair(n, n, 0.17)[::-1]
+        raw = unframed_pair(n, n, 0.17)[::-1]
         np.testing.assert_allclose(
             squeezing_run(n, 0.17).psi, frame_phase_vector(n) ** 2 * raw, atol=1e-14
         )
@@ -295,36 +310,46 @@ class TestOptimalTime:
         assert abs(taus[peak] - tau_opt) < 2e-3
 
 
+def _joint_variances(state: DiagonalPairState) -> tuple[float, float]:
+    """Var(S^y_A - S^y_B) and Var(S^z_A - S^z_B) of the resource as the
+    (N+1) x (N+1) joint amplitude matrix diag(psi)."""
+    splus, sminus, sz = ladder_operators(state.n_atoms)
+    amps = np.diag(state.psi)
+    return (joint_pair_variance(amps, -1j * splus + 1j * sminus, -1.0),
+            joint_pair_variance(amps, sz, -1.0))
+
+
 class TestVariances:
     def test_initial_antisqueezed_variances(self):
         for n in (2, 10, 50):
-            v = pair_variances(squeezing_run(n, 0.0))
-            assert v.var_xp == pytest.approx(2.0 * n, abs=1e-9)
-            assert v.var_ym == pytest.approx(2.0 * n, abs=1e-9)
+            state = squeezing_run(n, 0.0)
+            assert pair_variance(state) == pytest.approx(2.0 * n, abs=1e-9)
+            # The one variance is also Var(S^y_A - S^y_B).
+            assert _joint_variances(state)[0] == pytest.approx(2.0 * n, abs=1e-9)
 
     @pytest.mark.parametrize("tau", [0.0, 0.01, 0.1, 0.5])
     def test_population_difference_frozen(self, tau):
-        v = pair_variances(squeezing_run(30, tau))
-        assert abs(v.var_zm) < 1e-10
+        assert abs(_joint_variances(squeezing_run(30, tau))[1]) < 1e-10
 
     def test_nonnegative(self):
         for tau in (0.0, 0.02, 0.08, 0.3):
-            v = pair_variances(squeezing_run(25, tau))
-            assert v.var_xp >= -1e-10
-            assert v.var_ym >= -1e-10
-            assert v.var_zm >= -1e-10
+            state = squeezing_run(25, tau)
+            var_ym, var_zm = _joint_variances(state)
+            assert pair_variance(state) >= -1e-10
+            assert var_ym >= -1e-10
+            assert var_zm >= -1e-10
 
     def test_short_time_exponential_model(self):
         n, tau = 50, 0.01
-        v = pair_variances(squeezing_run(n, tau))
-        ratio = v.var_xp / (2.0 * n * math.exp(-2.0 * n * tau))
+        v = pair_variance(squeezing_run(n, tau))
+        ratio = v / (2.0 * n * math.exp(-2.0 * n * tau))
         assert 0.85 <= ratio <= 1.15
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_variances_match_dense_joint_operators(self, n):
-        # Dense two-ensemble operator oracle on the (N+1)^2 joint space.
-        from oracles import ladder_operators
-
+        # Dense two-ensemble operator oracle on the (N+1)^2 joint space:
+        # pair_variance is both the x-sum and the y-difference variance, and
+        # the z-difference variance is 0.
         tau = 0.11
         state = squeezing_run(n, tau)
         joint = np.zeros((n + 1, n + 1), dtype=complex)
@@ -340,11 +365,12 @@ class TestVariances:
             "var_ym": np.kron(sy, eye) - np.kron(eye, sy),
             "var_zm": np.kron(sz, eye) - np.kron(eye, sz),
         }
-        v = pair_variances(state)
+        v = pair_variance(state)
+        expected = {"var_xp": v, "var_ym": v, "var_zm": 0.0}
         for name, op in pairs.items():
             mean = np.vdot(vec, op @ vec).real
             second = np.vdot(vec, op @ (op @ vec)).real
-            assert getattr(v, name) == pytest.approx(
+            assert expected[name] == pytest.approx(
                 second - mean * mean, abs=1e-9
             ), name
 
